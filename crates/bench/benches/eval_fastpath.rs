@@ -2,7 +2,7 @@
 //! evaluation (interpreted `Pipeline::evaluate` vs lowered
 //! `CompiledPipeline::eval`) across filter counts, evaluator scaling
 //! with pipeline depth, and whole-switch batched processing
-//! (`Switch::process_batch`) on the INT workload.
+//! (`Switch::process_batch_indexed`) on the INT workload.
 
 use camus_core::compiled::CompiledPipeline;
 use camus_core::compiler::Compiler;
@@ -132,8 +132,12 @@ fn bench_switch_batch(c: &mut Criterion) {
     for n in [100usize, 1_000] {
         let compiled = Compiler::new().with_static(statics.clone()).compile(&rules(n)).unwrap();
         let mut sw = Switch::new(&statics, compiled.pipeline, SwitchConfig::default());
+        let mut out = Vec::new();
         g.bench_with_input(BenchmarkId::from_parameter(n), &batch, |b, batch| {
-            b.iter(|| sw.process_batch(batch, 0).len())
+            b.iter(|| {
+                sw.process_batch_indexed(batch, 0, &mut out);
+                out.len()
+            })
         });
     }
     g.finish();
@@ -165,10 +169,12 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let registry = MetricsRegistry::new();
     instrumented.attach_telemetry(SwitchTelemetry::new(&registry, SampleRate::DISABLED));
 
-    let time_batches = |sw: &mut Switch, rounds: usize| {
+    let mut out = Vec::new();
+    let mut time_batches = |sw: &mut Switch, rounds: usize| {
         let t0 = std::time::Instant::now();
         for _ in 0..rounds {
-            black_box(sw.process_batch(&batch, 0).len());
+            sw.process_batch_indexed(&batch, 0, &mut out);
+            black_box(out.len());
         }
         t0.elapsed()
     };

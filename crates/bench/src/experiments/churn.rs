@@ -121,7 +121,7 @@ pub fn measure_churn(
         std::hint::black_box(full.total_entries());
 
         let t0 = std::time::Instant::now();
-        let incremental = compile_network_incremental(&routing, &compiler, Some(&previous))
+        let incremental = compile_network_incremental(&routing, &compiler, Some(&previous), None)
             .expect("incremental recompile");
         let incremental_ms = t0.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(incremental.total_entries());

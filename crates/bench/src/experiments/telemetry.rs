@@ -91,9 +91,7 @@ fn overhead_lanes(scale: Scale) -> (Vec<OverheadLane>, f64) {
     }
     // Warm caches and the branch predictor of every lane off the clock.
     for (_, sw, _) in built.iter_mut() {
-        for chunk in packets.chunks(64).take(4) {
-            std::hint::black_box(sw.process_batch(chunk, 0));
-        }
+        one_pass_ns(sw, &packets[..packets.len().min(256)]);
     }
     // Interleaved best-of-N: one pass per lane per round. A lane
     // measuring *faster* than bare beyond eps means the bare minimum

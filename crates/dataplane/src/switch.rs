@@ -148,9 +148,9 @@ pub struct SwitchStats {
     /// Compiled-path match probes performed (binary-search steps plus
     /// linear entries touched) — attributes where evaluation time goes.
     pub entries_scanned: u64,
-    /// `process_batch` invocations.
+    /// `process_batch_indexed` invocations.
     pub batches: u64,
-    /// Packets processed through `process_batch` (with `batches`, the
+    /// Packets processed through `process_batch_indexed` (with `batches`, the
     /// mean batch size).
     pub batched_packets: u64,
     /// Output copies that shared the input buffer (no pruning needed:
@@ -566,18 +566,13 @@ impl Switch {
 
     /// Process a batch of `(packet, ingress)` pairs arriving together.
     /// Amortises per-call overhead and feeds the batch-size counters.
-    pub fn process_batch(&mut self, pkts: &[(Packet, Port)], now_us: u64) -> Vec<SwitchOutput> {
-        let mut out = Vec::new();
-        self.batch_into(pkts, now_us, 0, &mut out);
-        out
-    }
-
-    /// [`process_batch`](Self::process_batch) with per-packet
-    /// timestamps and caller-owned output: packet `j` of the batch is
-    /// processed at time `first_index + j`, so a driver that splits one
-    /// packet stream across shards can hand each shard its *global*
-    /// packet indices and every shard agrees with the sequential lanes
-    /// on timestamp-keyed aggregate/window semantics. `out` is cleared
+    ///
+    /// Packet `j` of the batch is processed at time `first_index + j`,
+    /// so a driver that splits one packet stream across shards can
+    /// hand each shard its *global* packet indices and every shard
+    /// agrees with the sequential lanes on timestamp-keyed
+    /// aggregate/window semantics. The next packet's header bytes are
+    /// prefetched while the current one evaluates. `out` is cleared
     /// and refilled, letting a hot loop reuse one allocation across
     /// batches.
     pub fn process_batch_indexed(
@@ -587,19 +582,6 @@ impl Switch {
         out: &mut Vec<SwitchOutput>,
     ) {
         out.clear();
-        self.batch_into(pkts, first_index, 1, out);
-    }
-
-    /// Shared batch loop: packet `j` runs at `base_us + j * step_us`,
-    /// with the next packet's header bytes prefetched while the current
-    /// one evaluates.
-    fn batch_into(
-        &mut self,
-        pkts: &[(Packet, Port)],
-        base_us: u64,
-        step_us: u64,
-        out: &mut Vec<SwitchOutput>,
-    ) {
         self.stats.batches += 1;
         self.stats.batched_packets += pkts.len() as u64;
         out.reserve(pkts.len());
@@ -607,7 +589,7 @@ impl Switch {
             if let Some((next, _)) = pkts.get(j + 1) {
                 crate::fastpath::prefetch_read(next.bytes.as_slice());
             }
-            out.push(self.process(pkt, *ingress, base_us + j as u64 * step_us));
+            out.push(self.process(pkt, *ingress, first_index + j as u64));
         }
     }
 
@@ -1013,7 +995,8 @@ mod tests {
         let pkts: Vec<(Packet, Port)> = (0..5)
             .map(|i| (PacketBuilder::new(&spec).message(order("GOOGL", i)).build(), 0))
             .collect();
-        let outs = sw.process_batch(&pkts, 0);
+        let mut outs = Vec::new();
+        sw.process_batch_indexed(&pkts, 0, &mut outs);
         assert_eq!(outs.len(), 5);
         assert!(outs.iter().all(|o| o.ports.len() == 1));
         assert_eq!(sw.stats().batches, 1);

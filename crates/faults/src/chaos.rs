@@ -42,11 +42,10 @@ use crate::event::FaultKind;
 use crate::inject::FaultInjector;
 use crate::scenario::apply_fault;
 use camus_dataplane::Packet;
-use camus_lang::ast::Port;
-use camus_lang::ast::{Expr, Operand};
+use camus_lang::ast::{Expr, Port};
 use camus_lang::value::Value;
 use camus_net::controller::{Controller, Deployment};
-use camus_net::{ChannelOutcome, ControlChannel, ControlOp, ReconcileStats};
+use camus_net::{matching_hosts, ChannelOutcome, ControlChannel, ControlOp, ReconcileStats};
 use camus_routing::topology::{HierNet, HostId, SwitchId};
 use camus_telemetry::{PostcardId, SampleRate};
 use rand::rngs::StdRng;
@@ -193,7 +192,6 @@ fn recover_controller(
             subs,
             &committed,
             next_epoch,
-            None,
             &mut DecisionLog { inner: channel, decisions },
         )
         .expect("recovery over the management channel must commit");
@@ -218,23 +216,6 @@ pub struct ChaosInput<'a> {
     /// The witness's attribute values, for deciding who must hear it.
     pub witness_values: Vec<(String, Value)>,
     pub publisher: HostId,
-}
-
-/// Hosts whose subscription set matches the witness packet.
-fn matching_hosts(
-    subs: &[Vec<Expr>],
-    witness: &[(String, Value)],
-    publisher: HostId,
-) -> BTreeSet<HostId> {
-    let lookup = |op: &Operand| match op {
-        Operand::Field(name) => witness.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()),
-        Operand::Aggregate { .. } => None,
-    };
-    subs.iter()
-        .enumerate()
-        .filter(|(h, fs)| *h != publisher && fs.iter().any(|f| f.eval_with(lookup)))
-        .map(|(h, _)| h)
-        .collect()
 }
 
 /// Run the soak. Panics (test failure) on any invariant violation.
@@ -395,7 +376,7 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
             ("controller-down", 0, 0, 0)
         } else {
             let mut logged = DecisionLog { inner: &mut channel, decisions: &mut decisions };
-            match ctrl.repair_with(&mut d, &subs, &mut logged) {
+            match ctrl.repair(&mut d, &subs, &mut logged) {
                 Ok(stats) => {
                     deployed_subs = subs.clone();
                     in_doubt = None;
@@ -623,7 +604,7 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
     }
     channel.heal_all();
     let mut logged = DecisionLog { inner: &mut channel, decisions: &mut decisions };
-    ctrl.repair_with(&mut d, &subs, &mut logged).expect("healed repair must commit");
+    ctrl.repair(&mut d, &subs, &mut logged).expect("healed repair must commit");
     assert!(d.network.fault_mask().is_healthy());
 
     let fresh = ctrl.deploy(net.clone(), &subs).expect("fresh oracle deploy");

@@ -19,8 +19,7 @@ use camus_dataplane::{InstallError, Switch, SwitchConfig};
 use camus_lang::ast::{Action, Expr, Port};
 use camus_routing::algorithm1::{route_hierarchical_degraded, RoutingConfig, RoutingResult};
 use camus_routing::compile::{
-    compile_network, compile_network_incremental, compile_network_incremental_delta, DeltaCache,
-    NetworkCompile,
+    compile_network, compile_network_incremental, DeltaCache, NetworkCompile,
 };
 use camus_routing::topology::{FaultMask, HierNet};
 use camus_telemetry::{DeployTrace, SwitchSpan};
@@ -594,19 +593,6 @@ impl Controller {
         subs: &[Vec<Expr>],
         mask: &FaultMask,
     ) -> Result<Deployment, DeployError> {
-        self.deploy_degraded_with(topology, subs, mask, &mut PerfectChannel)
-    }
-
-    /// [`deploy_degraded`](Self::deploy_degraded) over an explicit
-    /// control channel. On error no [`Deployment`] is produced at all,
-    /// so the caller's previous deployment (if any) is untouched.
-    pub fn deploy_degraded_with(
-        &self,
-        topology: HierNet,
-        subs: &[Vec<Expr>],
-        mask: &FaultMask,
-        channel: &mut dyn ControlChannel,
-    ) -> Result<Deployment, DeployError> {
         let route_start = Instant::now();
         let routing = route_hierarchical_degraded(&topology, subs, self.routing, mask);
         let route_ns = route_start.elapsed().as_nanos() as u64;
@@ -624,48 +610,36 @@ impl Controller {
         let mut network = Network::new(topology, switches, self.link_latency_ns);
         network.apply_mask(mask);
         let targets: Vec<usize> = (0..compile.switches.len()).collect();
-        let (report, degraded) =
-            self.apply_transaction(&mut network, &compile, &routing, &targets, 1, channel)?;
+        let (report, degraded) = self.apply_transaction(
+            &mut network,
+            &compile,
+            &routing,
+            &targets,
+            1,
+            &mut PerfectChannel,
+        )?;
         let trace = build_trace(route_ns, &compile, &report);
         Ok(Deployment { network, routing, compile, report, degraded, trace, next_epoch: 2 })
     }
 
-    /// Recompute and reinstall pipelines after a subscription change,
-    /// preserving switch state. Returns the recompile wall-clock time
-    /// (the Fig. 14 measurement).
+    /// Recompute routing around the network's current fault mask and
+    /// reinstall only the switches whose pipeline changed, preserving
+    /// switch state. This is the convergence step after a failure (or
+    /// a restore — the same code path heals in both directions), and
+    /// also the general reconfiguration primitive after a subscription
+    /// change: with a healthy mask it degenerates to plain incremental
+    /// reconfiguration, and [`RepairStats::compile_elapsed`] is the
+    /// Fig. 14 recompile time.
     ///
     /// Recompilation is *incremental*: switches whose routed rule list
     /// is fingerprint-identical to the deployed one keep their compiled
-    /// pipeline and are not reinstalled (`deployment.compile` records
-    /// the recompiled/reused split for inspection).
-    pub fn reconfigure(
-        &self,
-        deployment: &mut Deployment,
-        subs: &[Vec<Expr>],
-    ) -> Result<Duration, DeployError> {
-        Ok(self.repair(deployment, subs)?.compile_elapsed)
-    }
-
-    /// Recompute routing around the network's current fault mask and
-    /// reinstall only the switches whose pipeline changed. This is the
-    /// convergence step after a failure (or a restore — the same code
-    /// path heals in both directions), and also the general
-    /// reconfiguration primitive: with a healthy mask it degenerates to
-    /// plain incremental reconfiguration.
+    /// pipeline, and the rest are scratch-compiled, so the result is
+    /// exactly what a fresh [`deploy_degraded`](Self::deploy_degraded)
+    /// installs. Any error (admission or exhausted retries) rolls the
+    /// transaction back: the deployment keeps its previous routing,
+    /// compile state and installed pipelines, and deliveries are
+    /// byte-identical to before the call.
     pub fn repair(
-        &self,
-        deployment: &mut Deployment,
-        subs: &[Vec<Expr>],
-    ) -> Result<RepairStats, DeployError> {
-        self.repair_with(deployment, subs, &mut PerfectChannel)
-    }
-
-    /// [`repair`](Self::repair) over an explicit control channel. Any
-    /// error (admission or exhausted retries) rolls the transaction
-    /// back: the deployment keeps its previous routing, compile state
-    /// and installed pipelines, and deliveries are byte-identical to
-    /// before the call.
-    pub fn repair_with(
         &self,
         deployment: &mut Deployment,
         subs: &[Vec<Expr>],
@@ -675,7 +649,12 @@ impl Controller {
         let mask = deployment.network.fault_mask().clone();
         let routing = self.plan_routing(&deployment.network.topology, subs, &mask);
         let route_ns = start.elapsed().as_nanos() as u64;
-        let compile = self.compile_routing(&routing, Some(&deployment.compile))?;
+        let compile = compile_network_incremental(
+            &routing,
+            &self.compiler(),
+            Some(&deployment.compile),
+            None,
+        )?;
         self.install(deployment, routing, compile, route_ns, channel)
     }
 
@@ -692,67 +671,27 @@ impl Controller {
     }
 
     /// Stage two: compile a routing result, reusing `previous` as a
-    /// content-addressed cache. The cache only affects cost, never the
-    /// produced pipelines — which is what makes it safe to compile
-    /// transaction N+1 against a compile whose install has not landed
-    /// (or will roll back): the result is identical either way.
-    pub fn compile_routing(
-        &self,
-        routing: &RoutingResult,
-        previous: Option<&NetworkCompile>,
-    ) -> Result<NetworkCompile, CompileError> {
-        compile_network_incremental(routing, &self.compiler(), previous)
-    }
-
-    /// [`compile_routing`](Self::compile_routing) with *delta
-    /// maintenance*: switches that miss the fingerprint cache are not
-    /// recompiled from scratch but have their per-switch BDD updated
-    /// in place through `cache`, in time proportional to the rule-list
-    /// delta. The cache only affects cost, never the produced
-    /// pipelines (the controller's compiler pins the spec's variable
-    /// order, so delta-maintained and scratch-built diagrams reduce to
-    /// the same tables). Callers own the cache and carry it across
-    /// reconfigurations; a fresh cache degenerates to seeding every
-    /// representative.
+    /// content-addressed cache and delta-maintaining the per-switch
+    /// BDDs of the switches that miss it through `cache`, in time
+    /// proportional to the rule-list delta. Callers own the cache and
+    /// carry it across reconfigurations; a fresh cache degenerates to
+    /// seeding every representative.
+    ///
+    /// Neither `previous` nor `cache` changes the fingerprints or the
+    /// delivery behaviour of the produced pipelines, which is what
+    /// makes it safe to compile transaction N+1 against a compile whose
+    /// install has not landed (or will roll back). Table *layout* is
+    /// not yet cache-independent: a delta-maintained diagram keeps the
+    /// order its equality band was edited in, so its tables can differ
+    /// from a scratch compile of the same rules in where predicates on
+    /// one field sit.
     pub fn compile_routing_delta(
         &self,
         routing: &RoutingResult,
         previous: Option<&NetworkCompile>,
         cache: &mut DeltaCache,
     ) -> Result<NetworkCompile, CompileError> {
-        compile_network_incremental_delta(routing, &self.compiler(), previous, cache)
-    }
-
-    /// [`repair`](Self::repair) with delta-maintained per-switch BDDs:
-    /// route, delta-compile through `cache`, install. Error semantics
-    /// match [`repair_with`](Self::repair_with); on error the cache may
-    /// have advanced (it is a pure cost cache, so that is harmless).
-    pub fn repair_delta_with(
-        &self,
-        deployment: &mut Deployment,
-        subs: &[Vec<Expr>],
-        cache: &mut DeltaCache,
-        channel: &mut dyn ControlChannel,
-    ) -> Result<RepairStats, DeployError> {
-        let start = Instant::now();
-        let mask = deployment.network.fault_mask().clone();
-        let routing = self.plan_routing(&deployment.network.topology, subs, &mask);
-        let route_ns = start.elapsed().as_nanos() as u64;
-        let compile = self.compile_routing_delta(&routing, Some(&deployment.compile), cache)?;
-        self.install(deployment, routing, compile, route_ns, channel)
-    }
-
-    /// [`reconfigure`](Self::reconfigure) with delta-maintained
-    /// per-switch BDDs. At large subscription counts this is the fast
-    /// path: a small churn touches each dirty switch's diagram in time
-    /// proportional to the delta instead of rebuilding it.
-    pub fn reconfigure_delta(
-        &self,
-        deployment: &mut Deployment,
-        subs: &[Vec<Expr>],
-        cache: &mut DeltaCache,
-    ) -> Result<Duration, DeployError> {
-        Ok(self.repair_delta_with(deployment, subs, cache, &mut PerfectChannel)?.compile_elapsed)
+        compile_network_incremental(routing, &self.compiler(), previous, Some(cache))
     }
 
     /// Stage three: install a precomputed `(routing, compile)` pair
@@ -760,8 +699,8 @@ impl Controller {
     /// switches whose pipeline differs from what is *actually
     /// installed* (`deployment.compile` — not whatever cache the
     /// compile was computed against). Error semantics match
-    /// [`repair_with`](Self::repair_with): any failure rolls back and
-    /// the deployment keeps forwarding byte-identically.
+    /// [`repair`](Self::repair): any failure rolls back and the
+    /// deployment keeps forwarding byte-identically.
     pub fn install(
         &self,
         deployment: &mut Deployment,
@@ -825,7 +764,7 @@ impl Controller {
     /// * committed-but-unfinalised under an unlogged epoch → revert
     ///   (defensive: the protocol logs the decision before the first
     ///   commit op, so this arm only fires on a corrupted log).
-    pub fn reconcile_staged(
+    fn reconcile_staged(
         &self,
         network: &mut Network,
         committed_epochs: &BTreeSet<u64>,
@@ -860,11 +799,11 @@ impl Controller {
     /// compile state, ledger) died with the old process, so recovery
     /// interrogates the switches instead:
     ///
-    /// 1. [`reconcile_staged`](Self::reconcile_staged) settles every
-    ///    in-doubt install against the logged commit decisions,
+    /// 1. every in-doubt install is settled against the logged commit
+    ///    decisions (presumed abort),
     /// 2. routing is re-planned from the durable subscription set and
     ///    the network's *current* fault mask, and every pipeline is
-    ///    recompiled (through `cache` when the service carried one),
+    ///    scratch-compiled (identical rule lists compile once),
     /// 3. exactly the switches whose installed pipeline differs from
     ///    the recompiled intent are reinstalled through a normal
     ///    two-phase transaction under `next_epoch`.
@@ -873,14 +812,12 @@ impl Controller {
     /// [`deploy_degraded`](Self::deploy_degraded) of the same
     /// subscriptions onto the same mask, but without disturbing
     /// switches that already forward correctly.
-    #[allow(clippy::too_many_arguments)]
     pub fn recover_deployment(
         &self,
         mut network: Network,
         subs: &[Vec<Expr>],
         committed_epochs: &BTreeSet<u64>,
         next_epoch: u64,
-        cache: Option<&mut DeltaCache>,
         channel: &mut dyn ControlChannel,
     ) -> Result<(Deployment, ReconcileStats), DeployError> {
         let mut stats = self.reconcile_staged(&mut network, committed_epochs);
@@ -888,10 +825,7 @@ impl Controller {
         let mask = network.fault_mask().clone();
         let routing = self.plan_routing(&network.topology, subs, &mask);
         let route_ns = route_start.elapsed().as_nanos() as u64;
-        let compile = match cache {
-            Some(c) => self.compile_routing_delta(&routing, None, c)?,
-            None => self.compile_routing(&routing, None)?,
-        };
+        let compile = compile_network_incremental(&routing, &self.compiler(), None, None)?;
         // Interrogation-based diff: the old compile baseline is gone,
         // so compare compiled intent against what each switch actually
         // runs. Degraded switches always differ from their precise
@@ -923,8 +857,7 @@ impl Controller {
     }
 }
 
-/// What [`Controller::reconcile_staged`] (and the surrounding
-/// [`Controller::recover_deployment`]) did to settle a crash's
+/// What [`Controller::recover_deployment`] did to settle a crash's
 /// in-doubt state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReconcileStats {
@@ -1102,7 +1035,7 @@ mod tests {
         d.network.run(None);
         assert_eq!(d.network.deliveries(2).len(), 1);
         // Reconfigure: GOOGL no longer interesting.
-        let elapsed = ctrl.reconfigure(&mut d, &sub_b).unwrap();
+        let elapsed = ctrl.repair(&mut d, &sub_b, &mut PerfectChannel).unwrap().compile_elapsed;
         assert!(elapsed.as_nanos() > 0);
         d.network.publish(0, googl_packet(10), 1_000_000);
         d.network.run(None);
@@ -1125,7 +1058,7 @@ mod tests {
         let ctrl = controller(Policy::MemoryReduction);
         let mut d = ctrl.deploy(net.clone(), &base).unwrap();
         assert_eq!(d.compile.reused, 0, "initial deploy compiles everything");
-        ctrl.reconfigure(&mut d, &changed).unwrap();
+        ctrl.repair(&mut d, &changed, &mut PerfectChannel).unwrap();
 
         // Distribution path: the designated chain plus every core the
         // chain's agg can ascend to.
@@ -1160,7 +1093,7 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_delta_matches_fresh_deploy_through_churn() {
+    fn delta_install_matches_fresh_deploy_through_churn() {
         // Drive a deployment through a sequence of subscription changes
         // with the delta-maintained compile path and check after every
         // round that the installed pipelines are exactly what a fresh
@@ -1189,7 +1122,11 @@ mod tests {
         let mut d = ctrl.deploy(net.clone(), &rounds[0]).unwrap();
         let mut delta_hits = 0;
         for round in &rounds[1..] {
-            ctrl.reconfigure_delta(&mut d, round, &mut cache).unwrap();
+            // The service's pipelined path: plan, delta-compile, install.
+            let routing = ctrl.plan_routing(&net, round, d.network.fault_mask());
+            let compile =
+                ctrl.compile_routing_delta(&routing, Some(&d.compile), &mut cache).unwrap();
+            ctrl.install(&mut d, routing, compile, 0, &mut PerfectChannel).unwrap();
             delta_hits += d.compile.reused;
             let oracle = ctrl.deploy(net.clone(), round).unwrap();
             for (got, want) in d.compile.switches.iter().zip(oracle.compile.switches.iter()) {
@@ -1212,12 +1149,62 @@ mod tests {
     }
 
     #[test]
+    fn recovered_deployment_equals_fresh_degraded_deploy() {
+        // Recovery sees only the surviving network: an old subscription
+        // set, a failed link, and a staged program no commit decision
+        // was logged for. Its installed pipelines must come out
+        // byte-equal to a fresh deploy of the new subscriptions onto
+        // the same mask.
+        let net = paper_fat_tree();
+        let ctrl = controller(Policy::TrafficReduction);
+        let old = subs(&net, |h| if h % 2 == 0 { vec!["price > 10"] } else { vec![] });
+        let new = subs(&net, |h| match h {
+            5 => vec!["stock == MSFT", "price > 10"],
+            15 => vec!["stock == GOOGL"],
+            _ => vec![],
+        });
+        let mut d = ctrl.deploy(net.clone(), &old).unwrap();
+        let chain = net.designated_chain(15);
+        let (tor, agg) = (chain[0], chain[1]);
+        let port = net.switches[agg]
+            .down
+            .iter()
+            .position(|t| matches!(t, DownTarget::Switch(c, _) if *c == tor))
+            .unwrap() as camus_lang::ast::Port;
+        assert!(d.network.fail_link(agg, port));
+        d.network.switches[tor].stage_epoch(Pipeline::empty(), d.next_epoch).unwrap();
+
+        let (recovered, stats) = ctrl
+            .recover_deployment(d.network, &new, &BTreeSet::new(), 9, &mut PerfectChannel)
+            .unwrap();
+        assert_eq!(stats.aborted, 1, "the unlogged stage is presumed aborted");
+        assert!(stats.reinstalled > 0);
+        let oracle =
+            ctrl.deploy_degraded(net.clone(), &new, recovered.network.fault_mask()).unwrap();
+        for s in 0..net.switch_count() {
+            assert_eq!(
+                recovered.network.switches[s].pipeline(),
+                oracle.network.switches[s].pipeline(),
+                "switch {s}"
+            );
+        }
+        assert_eq!(recovered.degraded, oracle.degraded);
+
+        // A delta cache seeded from the same routing (the cold build
+        // `IncrementalBdd::from_rules` does) matches the scratch build.
+        let seeded = ctrl.compile_routing_delta(&recovered.routing, None, &mut DeltaCache::new());
+        for (a, b) in seeded.unwrap().switches.iter().zip(&recovered.compile.switches) {
+            assert_eq!(a.compiled.pipeline, b.compiled.pipeline, "switch {}", a.switch);
+        }
+    }
+
+    #[test]
     fn reconfigure_with_identical_subs_reuses_everything() {
         let net = paper_fat_tree();
         let s = subs(&net, |h| if h == 3 { vec!["price > 1"] } else { vec![] });
         let ctrl = controller(Policy::TrafficReduction);
         let mut d = ctrl.deploy(net.clone(), &s).unwrap();
-        ctrl.reconfigure(&mut d, &s).unwrap();
+        ctrl.repair(&mut d, &s, &mut PerfectChannel).unwrap();
         assert_eq!(d.compile.recompiled, 0);
         assert_eq!(d.compile.reused, net.switch_count());
     }
@@ -1263,7 +1250,7 @@ mod tests {
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 1, "blackout until repair");
 
-        let stats = ctrl.repair(&mut d, &subs).unwrap();
+        let stats = ctrl.repair(&mut d, &subs, &mut PerfectChannel).unwrap();
         assert!(stats.reinstalled > 0, "the detour must be installed");
         assert!(stats.reused > 0, "off-path switches keep their pipelines");
         d.network.publish(0, googl_packet(12), 2_000_000);
@@ -1281,7 +1268,7 @@ mod tests {
         // Restoring the link and repairing again heals back to the
         // original deployment.
         assert!(d.network.restore_link(agg, port));
-        let back = ctrl.repair(&mut d, &subs).unwrap();
+        let back = ctrl.repair(&mut d, &subs, &mut PerfectChannel).unwrap();
         assert!(back.reinstalled > 0);
         let fresh = ctrl.deploy(net.clone(), &subs).unwrap();
         for (got, want) in d.compile.switches.iter().zip(fresh.compile.switches.iter()) {
@@ -1308,13 +1295,13 @@ mod tests {
         // The other host on the dead ToR is unreachable, but a repair
         // keeps everyone else consistent: host 2 (pod 0, other ToR) can
         // still reach host 15.
-        ctrl.repair(&mut d, &subs).unwrap();
+        ctrl.repair(&mut d, &subs, &mut PerfectChannel).unwrap();
         d.network.publish(2, googl_packet(10), 1_000_000);
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 1);
         // Restore heals completely.
         assert!(d.network.restore_switch(tor));
-        ctrl.repair(&mut d, &subs).unwrap();
+        ctrl.repair(&mut d, &subs, &mut PerfectChannel).unwrap();
         d.network.publish(0, googl_packet(10), 2_000_000);
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 2);
@@ -1374,7 +1361,7 @@ mod tests {
         let new =
             subs(&net, |h| if h == 15 { vec!["stock == GOOGL", "price > 5"] } else { vec![] });
         let before_fp: Vec<u64> = d.compile.switches.iter().map(|s| s.fingerprint).collect();
-        match ctrl.reconfigure(&mut d, &new) {
+        match ctrl.repair(&mut d, &new, &mut PerfectChannel) {
             Err(DeployError::Admission { rejected, report }) => {
                 assert!(rejected.iter().any(|(s, _)| *s == tor), "must name the ToR");
                 for (_, e) in &rejected {
@@ -1449,7 +1436,7 @@ mod tests {
             subs(&net, |h| if h == 15 { vec!["stock == GOOGL", "stock == MSFT"] } else { vec![] });
         let before_fp: Vec<u64> = d.compile.switches.iter().map(|s| s.fingerprint).collect();
         let mut dead = DeadOp { switch: tor, op: Some(ControlOp::Stage) };
-        match ctrl.repair_with(&mut d, &new, &mut dead) {
+        match ctrl.repair(&mut d, &new, &mut dead) {
             Err(DeployError::Channel { failed, report }) => {
                 assert_eq!(failed, vec![tor]);
                 let entry = report.switches.iter().find(|e| e.switch == tor).unwrap();
@@ -1484,7 +1471,7 @@ mod tests {
         // Stages land everywhere, but the ToR never acks its commit:
         // switches committed before it must be reverted.
         let mut dead = DeadOp { switch: tor, op: Some(ControlOp::Commit) };
-        match ctrl.repair_with(&mut d, &new, &mut dead) {
+        match ctrl.repair(&mut d, &new, &mut dead) {
             Err(DeployError::Channel { failed, report }) => {
                 assert_eq!(failed, vec![tor]);
                 let entry = report.switches.iter().find(|e| e.switch == tor).unwrap();
@@ -1507,7 +1494,7 @@ mod tests {
 
         // The same repair over a healthy channel then succeeds and the
         // new subscription goes live.
-        ctrl.repair(&mut d, &new).unwrap();
+        ctrl.repair(&mut d, &new, &mut PerfectChannel).unwrap();
         d.network.publish(0, msft_packet(10), 1_000_000);
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 2);
@@ -1595,7 +1582,7 @@ mod tests {
                 h if h % 2 == 0 => vec!["price > 10"],
                 _ => vec![],
             });
-            ctrl.repair_with(&mut d, &more, &mut HashFlaky { seed }).unwrap();
+            ctrl.repair(&mut d, &more, &mut HashFlaky { seed }).unwrap();
             d.report
         };
         let a = run(0xFEED);

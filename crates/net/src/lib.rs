@@ -37,4 +37,4 @@ pub use controller::{
     AdmissionError, AdmissionVerdict, ChannelError, Controller, CrashedError, DeployError,
     DeployReport, Deployment, ReconcileStats, RepairStats, SwitchDeploy, TransactionError,
 };
-pub use sim::{Delivered, NetTelemetry, Network, NetworkStats};
+pub use sim::{matching_hosts, Delivered, NetTelemetry, Network, NetworkStats};

@@ -19,13 +19,13 @@
 //!   the "never re-ascend" rule of §IV-C, keeping forwarding loop-free.
 
 use camus_dataplane::{Packet, Switch};
-use camus_lang::ast::Port;
+use camus_lang::ast::{Expr, Operand, Port};
 use camus_lang::value::Value;
 use camus_routing::topology::{DownTarget, FaultMask, HierNet, HostId, SwitchId, LOGICAL_UP};
 use camus_telemetry::metrics::{SampleRate, Sampler};
 use camus_telemetry::postcard::{Collector, HopRecord, Postcard, PostcardEnd, PostcardId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// Why the simulator discarded a packet instead of forwarding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +74,26 @@ impl Delivered {
     pub fn latency_ns(&self) -> u64 {
         self.time_ns.saturating_sub(self.published_ns)
     }
+}
+
+/// The delivery oracle: the hosts whose subscriptions match a message
+/// with attribute values `witness`, never the publisher (the network
+/// does not loop a message back to its source). Aggregate operands
+/// have no value in a single message, so atoms over them are false.
+pub fn matching_hosts(
+    subs: &[Vec<Expr>],
+    witness: &[(String, Value)],
+    publisher: HostId,
+) -> BTreeSet<HostId> {
+    let lookup = |op: &Operand| match op {
+        Operand::Field(name) => witness.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()),
+        Operand::Aggregate { .. } => None,
+    };
+    subs.iter()
+        .enumerate()
+        .filter(|(h, fs)| *h != publisher && fs.iter().any(|f| f.eval_with(lookup)))
+        .map(|(h, _)| h)
+        .collect()
 }
 
 /// Aggregate traffic statistics.

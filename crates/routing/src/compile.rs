@@ -12,7 +12,9 @@
 //!   produces). [`compile_network_incremental`] reuses the previous
 //!   run's [`Compiled`] pipeline for every switch whose fingerprint is
 //!   unchanged, so a single-host subscription change only recompiles
-//!   the switches on that host's distribution path.
+//!   the switches on that host's distribution path. Given a
+//!   [`DeltaCache`], the switches that do change are delta-maintained
+//!   instead of rebuilt.
 //! * **Work stealing** — switch compiles are distributed to worker
 //!   threads through an atomic claim index rather than static chunks,
 //!   so one slow core-layer switch cannot serialise the rest of its
@@ -26,7 +28,7 @@ use crate::par::UnitPanic;
 use crate::topology::HierNet;
 use camus_core::compiler::{CompileError, CompileState, Compiled, Compiler};
 use camus_lang::ast::Rule;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -244,6 +246,32 @@ pub fn compile_network(
     })
 }
 
+/// Live incremental-compile states, content-addressed by rule-list
+/// fingerprint. A state is **moved** from its old fingerprint to its
+/// new one as a switch's rule list transitions, so one maintained
+/// diagram follows each distinct rule list through churn and the cache
+/// never holds more states than there are distinct lists in the
+/// current epoch (stale fingerprints are pruned after every run).
+#[derive(Debug, Default)]
+pub struct DeltaCache {
+    states: HashMap<u64, CompileState>,
+}
+
+impl DeltaCache {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of live maintained diagrams.
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+}
+
 /// Compile a routing result incrementally. The compile cache is
 /// *content-addressed* by rule-list fingerprint:
 ///
@@ -255,12 +283,31 @@ pub fn compile_network(
 ///   full-mesh Fat Tree the entire core layer has identical rule lists,
 ///   so N core switches cost one compile.
 ///
+/// Only how each distinct new rule list is compiled depends on `delta`:
+///
+/// * `None` — a scratch compile on the work-stealing pool, producing
+///   exactly what [`compile_network`] produces for that switch.
+/// * `Some(cache)` — **delta recompilation**: the maintained diagram
+///   that compiled the slot's *previous* rule list is taken from the
+///   cache (keyed by the slot's old fingerprint) and only the rule
+///   delta is replayed on it ([`Compiler::compile_incremental`]); only
+///   misses with no previous state pay a cold build. These run
+///   sequentially — the delta path is maintenance-bound (`O(delta)`
+///   per switch), not build-bound — and stale fingerprints are pruned
+///   from the cache afterwards. Pin a variable order on `compiler`
+///   (e.g. via a static spec) for deterministic table sizes: with an
+///   unpinned order a maintained diagram keeps the field order of its
+///   construction history, so its pipelines — while always
+///   semantically equivalent — can differ structurally from what a
+///   scratch compile of the same rules picks.
+///
 /// `previous` must come from the same topology (same switch count) —
 /// anything else is ignored and every switch recompiles.
 pub fn compile_network_incremental(
     result: &RoutingResult,
     compiler: &Compiler,
     previous: Option<&NetworkCompile>,
+    delta: Option<&mut DeltaCache>,
 ) -> Result<NetworkCompile, CompileError> {
     let start = Instant::now();
     let n = result.filters.len();
@@ -287,28 +334,48 @@ pub fn compile_network_incremental(
         }
     }
 
-    // Stage 3 (parallel): compile each distinct new rule list once.
-    let mut fresh: HashMap<u64, (Arc<Compiled>, Duration)> =
-        HashMap::with_capacity(representatives.len());
-    for (i, outcome) in run_parallel(representatives.len(), |i| {
-        let s = representatives[i];
-        let t0 = Instant::now();
-        let compiled = compiler.compile(&result.switch_rules(s))?;
-        Ok((Arc::new(compiled), t0.elapsed()))
-    })
-    .into_iter()
-    .enumerate()
-    {
-        // Surface panics under the switch id, not the dense rep index.
-        let (compiled, took) = match outcome {
-            Ok(v) => v,
-            Err(CompileError::Panicked { message, .. }) => {
-                return Err(CompileError::Panicked { unit: representatives[i], message })
+    // Stage 3: compile each distinct new rule list once.
+    let mut compiled: Vec<(Arc<Compiled>, Duration)> = Vec::with_capacity(representatives.len());
+    match delta {
+        None => {
+            let outcomes = run_parallel(representatives.len(), |i| {
+                let t0 = Instant::now();
+                let compiled = compiler.compile(&result.switch_rules(representatives[i]))?;
+                Ok((Arc::new(compiled), t0.elapsed()))
+            });
+            for (outcome, &s) in outcomes.into_iter().zip(&representatives) {
+                // Surface panics under the switch id, not the dense rep index.
+                compiled.push(outcome.map_err(|e| match e {
+                    CompileError::Panicked { message, .. } => {
+                        CompileError::Panicked { unit: s, message }
+                    }
+                    e => e,
+                })?);
             }
-            Err(e) => return Err(e),
-        };
-        fresh.insert(fingerprints[representatives[i]], (compiled, took));
+        }
+        Some(cache) => {
+            for &s in &representatives {
+                let t0 = Instant::now();
+                let rules = result.switch_rules(s);
+                // The state that compiled this slot's previous rule list
+                // is the best delta base; it moves to the new fingerprint.
+                let old_fp = previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
+                let (out, state) = match old_fp.and_then(|fp| cache.states.remove(&fp)) {
+                    Some(mut state) => (compiler.compile_incremental(&mut state, &rules)?, state),
+                    None => compiler.compile_incremental_seed(&rules)?,
+                };
+                cache.states.entry(fingerprints[s]).or_insert(state);
+                compiled.push((Arc::new(out), t0.elapsed()));
+            }
+            // Keep only states whose fingerprint is live in this epoch:
+            // churn must not accumulate diagrams for rule lists no one
+            // holds anymore.
+            let live: HashSet<u64> = fingerprints.iter().copied().collect();
+            cache.states.retain(|fp, _| live.contains(fp));
+        }
     }
+    let fresh: HashMap<u64, (Arc<Compiled>, Duration)> =
+        representatives.iter().map(|&s| fingerprints[s]).zip(compiled).collect();
 
     // Stage 4: assemble per-switch outcomes.
     let mut switches = Vec::with_capacity(n);
@@ -337,132 +404,6 @@ pub fn compile_network_incremental(
         };
         switches.push(sc);
     }
-    let reused = switches.iter().filter(|s| s.reused).count();
-    Ok(NetworkCompile {
-        recompiled: n - reused,
-        reused,
-        distinct_compiles: representatives.len(),
-        switches,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// Live incremental-compile states, content-addressed by rule-list
-/// fingerprint. A state is **moved** from its old fingerprint to its
-/// new one as a switch's rule list transitions, so one maintained
-/// diagram follows each distinct rule list through churn and the cache
-/// never holds more states than there are distinct lists in the
-/// current epoch (stale fingerprints are pruned after every run).
-#[derive(Debug, Default)]
-pub struct DeltaCache {
-    states: HashMap<u64, CompileState>,
-}
-
-impl DeltaCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of live maintained diagrams.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-}
-
-/// [`compile_network_incremental`], with **delta recompilation** for
-/// the switches that do change: instead of rebuilding a changed
-/// switch's BDD from scratch, the maintained diagram that compiled its
-/// *previous* rule list is taken from `cache` (keyed by the slot's old
-/// fingerprint) and only the rule delta is replayed on it
-/// ([`Compiler::compile_incremental`]). Fingerprint hits still reuse
-/// the previous artefact outright; only cache misses with no previous
-/// state pay a cold build.
-///
-/// Representatives compile sequentially — the delta path is
-/// maintenance-bound (`O(delta)` per switch), not build-bound, so the
-/// parallel fan-out of the scratch path buys nothing here.
-///
-/// Pin a variable order on `compiler` (e.g. via a static spec) for
-/// deterministic table sizes: with an unpinned order a maintained
-/// diagram keeps the field order of its construction history, so its
-/// pipelines — while always semantically equivalent — can differ
-/// structurally from what a scratch compile of the same rules picks.
-pub fn compile_network_incremental_delta(
-    result: &RoutingResult,
-    compiler: &Compiler,
-    previous: Option<&NetworkCompile>,
-    cache: &mut DeltaCache,
-) -> Result<NetworkCompile, CompileError> {
-    let start = Instant::now();
-    let n = result.filters.len();
-    let previous = previous.filter(|p| p.switches.len() == n);
-
-    let fingerprints: Vec<u64> = (0..n).map(|s| result.switch_fingerprint(s)).collect();
-
-    let prev_by_fp: HashMap<u64, &SwitchCompile> = previous
-        .map(|p| p.switches.iter().map(|sc| (sc.fingerprint, sc)).collect())
-        .unwrap_or_default();
-    let mut rep_for_fp: HashMap<u64, usize> = HashMap::new();
-    let mut representatives: Vec<usize> = Vec::new();
-    for (s, fp) in fingerprints.iter().enumerate() {
-        if !prev_by_fp.contains_key(fp) && !rep_for_fp.contains_key(fp) {
-            rep_for_fp.insert(*fp, s);
-            representatives.push(s);
-        }
-    }
-
-    let mut fresh: HashMap<u64, (Arc<Compiled>, Duration)> =
-        HashMap::with_capacity(representatives.len());
-    for &s in &representatives {
-        let t0 = Instant::now();
-        let rules = result.switch_rules(s);
-        let new_fp = fingerprints[s];
-        // The state that compiled this slot's previous rule list is the
-        // best delta base; it moves to the new fingerprint.
-        let old_fp = previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
-        let taken = old_fp.and_then(|fp| cache.states.remove(&fp));
-        let (compiled, state) = match taken {
-            Some(mut state) => (compiler.compile_incremental(&mut state, &rules)?, state),
-            None => compiler.compile_incremental_seed(&rules)?,
-        };
-        cache.states.entry(new_fp).or_insert(state);
-        fresh.insert(new_fp, (Arc::new(compiled), t0.elapsed()));
-    }
-
-    let mut switches = Vec::with_capacity(n);
-    for (s, fp) in fingerprints.iter().enumerate() {
-        let sc = if let Some(prev) = prev_by_fp.get(fp) {
-            SwitchCompile {
-                switch: s,
-                entries: prev.entries,
-                elapsed: Duration::ZERO,
-                fingerprint: *fp,
-                reused: true,
-                compiled: Arc::clone(&prev.compiled),
-            }
-        } else {
-            let (compiled, took) = &fresh[fp];
-            SwitchCompile {
-                switch: s,
-                entries: compiled.pipeline.total_entries(),
-                elapsed: if rep_for_fp[fp] == s { *took } else { Duration::ZERO },
-                fingerprint: *fp,
-                reused: false,
-                compiled: Arc::clone(compiled),
-            }
-        };
-        switches.push(sc);
-    }
-
-    // Keep only states whose fingerprint is live in this epoch: churn
-    // must not accumulate diagrams for rule lists no one holds anymore.
-    let live: std::collections::HashSet<u64> = fingerprints.iter().copied().collect();
-    cache.states.retain(|fp, _| live.contains(fp));
-
     let reused = switches.iter().filter(|s| s.reused).count();
     Ok(NetworkCompile {
         recompiled: n - reused,
@@ -653,7 +594,7 @@ mod tests {
         let mut hosts = subs(net.host_count());
 
         let r0 = route_hierarchical(&net, &hosts, cfg);
-        let mut prev = compile_network_incremental_delta(&r0, &compiler, None, &mut cache).unwrap();
+        let mut prev = compile_network_incremental(&r0, &compiler, None, Some(&mut cache)).unwrap();
         assert!(!cache.is_empty());
 
         for round in 0..4 {
@@ -662,7 +603,7 @@ mod tests {
             hosts[h] = vec![parse_expr(&format!("price > {}", 1000 + round)).unwrap()];
             let r = route_hierarchical(&net, &hosts, cfg);
             let delta =
-                compile_network_incremental_delta(&r, &compiler, Some(&prev), &mut cache).unwrap();
+                compile_network_incremental(&r, &compiler, Some(&prev), Some(&mut cache)).unwrap();
             let scratch = compile_network(&r, &compiler).unwrap();
             assert!(delta.reused > 0, "round {round}: unchanged switches must be reused");
             for (a, b) in delta.switches.iter().zip(&scratch.switches) {
@@ -691,7 +632,7 @@ mod tests {
         let mut churned = base.clone();
         churned[5] = vec![parse_expr("volume > 999").unwrap()];
         let r1 = route_hierarchical(&net, &churned, cfg);
-        let inc = compile_network_incremental(&r1, &compiler, Some(&full)).unwrap();
+        let inc = compile_network_incremental(&r1, &compiler, Some(&full), None).unwrap();
 
         assert_eq!(inc.recompiled + inc.reused, net.switch_count());
         assert!(inc.reused > 0, "unchanged switches must be reused");
@@ -735,7 +676,7 @@ mod tests {
             cores.iter().map(|&s| fingerprint_rules(&r.switch_rules(s))).collect();
         assert_eq!(fps.len(), 1, "cores must share one fingerprint");
 
-        let inc = compile_network_incremental(&r, &Compiler::new(), None).unwrap();
+        let inc = compile_network_incremental(&r, &Compiler::new(), None, None).unwrap();
         assert_eq!(inc.reused, 0);
         assert_eq!(inc.recompiled, net.switch_count());
         assert!(
@@ -768,7 +709,7 @@ mod tests {
         // A "previous" result with the wrong switch count is ignored.
         let mut wrong = full.clone();
         wrong.switches.truncate(3);
-        let inc = compile_network_incremental(&r, &compiler, Some(&wrong)).unwrap();
+        let inc = compile_network_incremental(&r, &compiler, Some(&wrong), None).unwrap();
         assert_eq!(inc.reused, 0);
         assert_eq!(inc.recompiled, net.switch_count());
     }

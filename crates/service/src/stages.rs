@@ -39,10 +39,10 @@ use crate::durability::Wal;
 use crate::error::{CompileStageError, DeployStageError, RouteError, ServiceError};
 use crate::intake::{ChurnBatch, RequestId, SubRequest};
 use camus_dataplane::Packet;
-use camus_lang::ast::{Expr, Operand};
+use camus_lang::ast::Expr;
 use camus_lang::value::Value;
 use camus_net::controller::{Controller, DeployError, Deployment};
-use camus_net::{Clock, ControlChannel};
+use camus_net::{matching_hosts, Clock, ControlChannel};
 use camus_routing::algorithm1::RoutingResult;
 use camus_routing::compile::{DeltaCache, NetworkCompile};
 use camus_routing::topology::{FaultMask, HierNet};
@@ -377,20 +377,6 @@ pub struct DeployService {
     pub rejected_txns: u64,
     pub snapshots_written: u64,
     pub audit_totals: AuditReport,
-}
-
-/// Hosts whose subscriptions match `witness` (excluding the
-/// publisher — the network never loops a message back to its source).
-fn matching_hosts(subs: &[Vec<Expr>], witness: &[(String, Value)], publisher: usize) -> Vec<usize> {
-    let lookup = |op: &Operand| match op {
-        Operand::Field(name) => witness.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()),
-        Operand::Aggregate { .. } => None,
-    };
-    subs.iter()
-        .enumerate()
-        .filter(|(h, fs)| *h != publisher && fs.iter().any(|f| f.eval_with(lookup)))
-        .map(|(h, _)| h)
-        .collect()
 }
 
 impl DeployService {

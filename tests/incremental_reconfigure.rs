@@ -1,8 +1,8 @@
-//! Property: incremental `reconfigure` is indistinguishable from a
+//! Property: incremental reconfiguration is indistinguishable from a
 //! fresh `deploy` of the final subscription state.
 //!
 //! Random churn sequences (hosts adding and dropping random filters)
-//! are applied step by step through `Controller::reconfigure`, which
+//! are applied step by step through `Controller::repair`, which
 //! reuses fingerprint-matched pipelines from the previous compile and
 //! only reinstalls the changed ones. After every step the reconfigured
 //! network must carry exactly the per-switch pipelines a from-scratch
@@ -15,6 +15,7 @@ use camus_lang::parser::parse_expr;
 use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
 use camus_net::controller::Controller;
+use camus_net::PerfectChannel;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::paper_fat_tree;
 use proptest::prelude::*;
@@ -121,7 +122,7 @@ proptest! {
                     subs[*host].pop();
                 }
             }
-            ctrl.reconfigure(&mut live, &subs).expect("reconfigure");
+            ctrl.repair(&mut live, &subs, &mut PerfectChannel).expect("reconfigure");
             let mut fresh = ctrl.deploy(net.clone(), &subs).expect("fresh deploy");
 
             // Same compile outcome: per-switch fingerprints, entry
