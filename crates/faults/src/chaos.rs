@@ -399,6 +399,9 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
                         camus_net::DeployError::Admission { report, .. }
                         | camus_net::DeployError::Channel { report, .. } => report.clone(),
                         camus_net::DeployError::Compile(c) => panic!("chaos compile failed: {c}"),
+                        camus_net::DeployError::HostCount { .. } => {
+                            panic!("chaos routed the wrong host count: {e}")
+                        }
                         camus_net::DeployError::Crashed { .. } => unreachable!("matched above"),
                     };
                     ("rolled-back", r.total_attempts(), r.total_retries(), 0)

@@ -72,6 +72,9 @@ pub struct Deployment {
 /// back, nothing is half-committed.
 #[derive(Debug)]
 pub enum DeployError {
+    /// The subscription list does not have one entry per host of the
+    /// topology; nothing was routed or touched.
+    HostCount { expected: usize, got: usize },
     /// A switch pipeline failed to compile.
     Compile(CompileError),
     /// One or more switches rejected their pipeline at admission; the
@@ -98,6 +101,9 @@ impl From<CompileError> for DeployError {
 impl fmt::Display for DeployError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            DeployError::HostCount { expected, got } => {
+                write!(f, "{got} subscription lists for a topology of {expected} hosts")
+            }
             DeployError::Compile(e) => write!(f, "compile failed: {e}"),
             DeployError::Admission { rejected, .. } => {
                 write!(f, "deploy rejected at admission:")?;
@@ -578,6 +584,17 @@ impl Controller {
         Ok((report, degraded))
     }
 
+    /// Routing takes one subscription list per host; anything else is
+    /// refused before any work is done.
+    fn check_host_count(topology: &HierNet, subs: &[Vec<Expr>]) -> Result<(), DeployError> {
+        let expected = topology.host_count();
+        if subs.len() == expected {
+            Ok(())
+        } else {
+            Err(DeployError::HostCount { expected, got: subs.len() })
+        }
+    }
+
     /// Compute routing, compile every switch, and build the network.
     pub fn deploy(&self, topology: HierNet, subs: &[Vec<Expr>]) -> Result<Deployment, DeployError> {
         self.deploy_degraded(topology, subs, &FaultMask::default())
@@ -593,6 +610,7 @@ impl Controller {
         subs: &[Vec<Expr>],
         mask: &FaultMask,
     ) -> Result<Deployment, DeployError> {
+        Self::check_host_count(&topology, subs)?;
         let route_start = Instant::now();
         let routing = route_hierarchical_degraded(&topology, subs, self.routing, mask);
         let route_ns = route_start.elapsed().as_nanos() as u64;
@@ -645,6 +663,7 @@ impl Controller {
         subs: &[Vec<Expr>],
         channel: &mut dyn ControlChannel,
     ) -> Result<RepairStats, DeployError> {
+        Self::check_host_count(&deployment.network.topology, subs)?;
         let start = Instant::now();
         let mask = deployment.network.fault_mask().clone();
         let routing = self.plan_routing(&deployment.network.topology, subs, &mask);
@@ -820,6 +839,7 @@ impl Controller {
         next_epoch: u64,
         channel: &mut dyn ControlChannel,
     ) -> Result<(Deployment, ReconcileStats), DeployError> {
+        Self::check_host_count(&network.topology, subs)?;
         let mut stats = self.reconcile_staged(&mut network, committed_epochs);
         let route_start = Instant::now();
         let mask = network.fault_mask().clone();
@@ -1207,6 +1227,48 @@ mod tests {
         ctrl.repair(&mut d, &s, &mut PerfectChannel).unwrap();
         assert_eq!(d.compile.recompiled, 0);
         assert_eq!(d.compile.reused, net.switch_count());
+    }
+
+    fn is_host_count<T>(r: Result<T, DeployError>, got: usize) -> bool {
+        matches!(r, Err(DeployError::HostCount { expected: 16, got: g }) if g == got)
+    }
+
+    #[test]
+    fn deploy_degraded_refuses_wrong_host_count() {
+        let net = paper_fat_tree();
+        let ctrl = controller(Policy::MemoryReduction);
+        let short = vec![vec![parse_expr("price > 1").unwrap()]; 3];
+        assert!(is_host_count(ctrl.deploy_degraded(net.clone(), &short, &FaultMask::new()), 3));
+        assert!(is_host_count(ctrl.deploy(net, &[]), 0));
+    }
+
+    #[test]
+    fn repair_refuses_wrong_host_count_and_keeps_deployment() {
+        let net = paper_fat_tree();
+        let ctrl = controller(Policy::TrafficReduction);
+        let s = subs(&net, |h| if h == 3 { vec!["price > 1"] } else { vec![] });
+        let mut d = ctrl.deploy(net.clone(), &s).unwrap();
+        let (epoch, before) = (d.next_epoch, d.network.switches[0].pipeline().clone());
+        let long = vec![Vec::new(); net.host_count() + 1];
+        assert!(is_host_count(ctrl.repair(&mut d, &long, &mut PerfectChannel), 17));
+        assert_eq!(d.next_epoch, epoch, "a refused repair consumes no epoch");
+        assert_eq!(*d.network.switches[0].pipeline(), before);
+    }
+
+    #[test]
+    fn recover_deployment_refuses_wrong_host_count() {
+        let net = paper_fat_tree();
+        let ctrl = controller(Policy::MemoryReduction);
+        let s = subs(&net, |_| vec!["price > 1"]);
+        let d = ctrl.deploy(net.clone(), &s).unwrap();
+        let r = ctrl.recover_deployment(
+            d.network,
+            &s[..net.host_count() - 1],
+            &BTreeSet::new(),
+            d.next_epoch,
+            &mut PerfectChannel,
+        );
+        assert!(is_host_count(r, 15));
     }
 
     #[test]

@@ -20,7 +20,9 @@
 use crate::topology::{FaultMask, HierNet, SwitchId, LOGICAL_UP};
 use camus_lang::approx::{approximate_expr, ApproxConfig};
 use camus_lang::ast::{Action, Expr, Port, Rule};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The two routing policies of §IV-C.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,58 +61,89 @@ impl RoutingConfig {
     }
 }
 
+/// One filter held by handle. Algorithm 1 allocates and hashes each
+/// filter once per plan; every set that holds it afterwards (the union
+/// at each tree level, every replicated parent, every TR up set) takes
+/// an `Arc` clone and the memoised stable hash along with it, instead
+/// of a deep copy of the expression tree.
+#[derive(Debug, Clone)]
+struct Shared {
+    expr: Arc<Expr>,
+    /// [`crate::compile::stable_expr_hash`] of `expr`.
+    hash: u64,
+}
+
+impl Shared {
+    fn new(f: Expr) -> Self {
+        let hash = crate::compile::stable_expr_hash(&f);
+        Shared { expr: Arc::new(f), hash }
+    }
+
+    /// Structural equality, checked only when the hashes agree (`Arc`
+    /// compares by pointer first).
+    fn same(&self, other: &Shared) -> bool {
+        self.hash == other.hash && self.expr == other.expr
+    }
+}
+
 /// An ordered, deduplicated filter set (one `F_p^s`).
 ///
-/// Each member's stable structural hash is computed **once**, on
-/// insertion, and folded into a commutative per-set accumulator — so a
-/// whole set fingerprints in `O(1)` and a switch in `O(ports)`
-/// ([`RoutingResult::switch_fingerprint`]) instead of re-hashing every
-/// filter of every switch on every reconfiguration.
+/// Members are shared handles carrying their stable structural hash,
+/// computed once when the filter enters the plan. Deduplication is
+/// keyed on that hash and falls back to a structural comparison only
+/// when two hashes are equal. The hashes are also folded into a
+/// commutative per-set accumulator, so a whole set fingerprints in
+/// `O(1)` and a switch in `O(ports)` ([`RoutingResult::switch_fingerprint`]).
 #[derive(Debug, Clone, Default)]
 pub struct FilterSet {
-    filters: Vec<Expr>,
-    /// Member → memoised stable hash (also the dedup index).
-    seen: HashMap<Expr, u64>,
+    members: Vec<Shared>,
+    /// Stable hash → index of the first member with that hash.
+    by_hash: HashMap<u64, usize>,
+    /// Members whose hash equals that of an earlier, structurally
+    /// different member (a 64-bit collision: in practice empty).
+    collided: Vec<usize>,
     /// Wrapping sum of `mix64(hash)` over the members.
     acc: u64,
 }
 
 impl FilterSet {
     pub fn insert(&mut self, f: Expr) {
-        if !self.seen.contains_key(&f) {
-            let h = crate::compile::stable_expr_hash(&f);
-            self.insert_new(f, h);
+        self.insert_shared(Shared::new(f));
+    }
+
+    fn insert_shared(&mut self, f: Shared) {
+        match self.by_hash.entry(f.hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(self.members.len());
+            }
+            Entry::Occupied(first) => {
+                let members = &self.members;
+                if members[*first.get()].same(&f)
+                    || self.collided.iter().any(|&i| members[i].same(&f))
+                {
+                    return;
+                }
+                self.collided.push(self.members.len());
+            }
+        }
+        self.acc = self.acc.wrapping_add(crate::compile::mix64(f.hash));
+        self.members.push(f);
+    }
+
+    /// Add every member of `other`, sharing its handles.
+    fn union_with(&mut self, other: &FilterSet) {
+        if self.members.is_empty() {
+            self.clone_from(other);
+        } else {
+            for f in &other.members {
+                self.insert_shared(f.clone());
+            }
         }
     }
 
-    /// Insert a filter whose stable hash the caller already knows
-    /// (aggregation re-inserts the same `Expr` at every tree level;
-    /// carrying the hash up avoids re-walking the expression).
-    fn insert_hashed(&mut self, f: &Expr, h: u64) {
-        if !self.seen.contains_key(f) {
-            self.insert_new(f.clone(), h);
-        }
-    }
-
-    fn insert_new(&mut self, f: Expr, h: u64) {
-        self.seen.insert(f.clone(), h);
-        self.acc = self.acc.wrapping_add(crate::compile::mix64(h));
-        self.filters.push(f);
-    }
-
-    pub fn extend<'a, I: IntoIterator<Item = &'a Expr>>(&mut self, it: I) {
-        for f in it {
-            self.insert(f.clone());
-        }
-    }
-
-    pub fn filters(&self) -> &[Expr] {
-        &self.filters
-    }
-
-    /// Members with their memoised stable hashes.
-    fn hashed_filters(&self) -> impl Iterator<Item = (&Expr, u64)> {
-        self.filters.iter().map(|f| (f, self.seen[f]))
+    /// The members, in insertion order.
+    pub fn filters(&self) -> impl ExactSizeIterator<Item = &Expr> {
+        self.members.iter().map(|f| &*f.expr)
     }
 
     /// The commutative fingerprint accumulator over the members.
@@ -119,11 +152,11 @@ impl FilterSet {
     }
 
     pub fn len(&self) -> usize {
-        self.filters.len()
+        self.members.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.filters.is_empty()
+        self.members.is_empty()
     }
 }
 
@@ -151,10 +184,10 @@ impl RoutingResult {
         ports.sort_unstable();
         let mut out = Vec::new();
         for &port in ports {
-            let mut filters: Vec<(&Expr, u64)> = self.filters[s][&port].hashed_filters().collect();
-            filters.sort_unstable_by_key(|&(_, h)| h);
-            for (f, _) in filters {
-                out.push(Rule { filter: f.clone(), action: Action::Forward(vec![port]) });
+            let mut filters: Vec<&Shared> = self.filters[s][&port].members.iter().collect();
+            filters.sort_unstable_by_key(|f| f.hash);
+            for f in filters {
+                out.push(Rule { filter: (*f.expr).clone(), action: Action::Forward(vec![port]) });
             }
         }
         out
@@ -220,12 +253,21 @@ pub fn route_hierarchical_degraded(
 ) -> RoutingResult {
     assert_eq!(subs.len(), net.host_count(), "one subscription list per host");
     let approx = cfg.approx();
-    let widen = |f: &Expr| -> Expr {
-        match &approx {
-            Some(c) => approximate_expr(f, *c).0,
-            None => f.clone(),
-        }
-    };
+    let widen = |c: &ApproxConfig, f: &Shared| Shared::new(approximate_expr(&f.expr, *c).0);
+
+    // Each attached host's filters, wrapped and hashed once for the
+    // whole plan; detached hosts contribute nothing anywhere.
+    let hosts: Vec<Vec<Shared>> = subs
+        .iter()
+        .enumerate()
+        .map(|(h, fs)| {
+            if net.host_attached(h, mask) {
+                fs.iter().map(|f| Shared::new(f.clone())).collect()
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
 
     let mut filters: Vec<HashMap<Port, FilterSet>> = vec![HashMap::new(); net.switch_count()];
 
@@ -233,7 +275,10 @@ pub fn route_hierarchical_degraded(
     // hosts that are still attached.
     for (h, &(s, p)) in net.access.iter().enumerate() {
         if net.host_attached(h, mask) {
-            filters[s].entry(p).or_default().extend(subs[h].iter());
+            let set = filters[s].entry(p).or_default();
+            for f in &hosts[h] {
+                set.insert_shared(f.clone());
+            }
         }
     }
 
@@ -250,16 +295,19 @@ pub fn route_hierarchical_degraded(
         if !mask.switch_alive(src) {
             continue;
         }
-        let mut union: Vec<(Expr, u64)> = Vec::new();
-        let mut seen = HashSet::new();
+        let mut union = FilterSet::default();
         for port in 0..net.switches[src].down.len() {
             if let Some(set) = filters[src].get(&(port as Port)) {
-                for (f, h) in set.hashed_filters() {
-                    if seen.insert(f.clone()) {
-                        union.push((f.clone(), h));
-                    }
-                }
+                union.union_with(set);
             }
+        }
+        if let Some(c) = &approx {
+            // Widen once per union element; every parent shares it.
+            let mut widened = FilterSet::default();
+            for f in &union.members {
+                widened.insert_shared(widen(c, f));
+            }
+            union = widened;
         }
         let parents: Vec<(SwitchId, Port)> = match net.designated_up_masked(src, mask) {
             None => vec![],
@@ -280,25 +328,17 @@ pub fn route_hierarchical_degraded(
             }
         };
         for (dst, q) in parents {
-            let entry = filters[dst].entry(q).or_default();
-            for (f, h) in &union {
-                // Widening rewrites the expression (new hash); the
-                // exact path re-inserts the same `Expr`, so its
-                // memoised hash rides along.
-                match &approx {
-                    Some(_) => entry.insert(widen(f)),
-                    None => entry.insert_hashed(f, *h),
-                }
-            }
+            filters[dst].entry(q).or_default().union_with(&union);
         }
     }
 
     // Up sets, per policy.
     match cfg.policy {
         Policy::MemoryReduction => {
+            let all = Shared::new(Expr::True);
             for (s, fs) in filters.iter_mut().enumerate() {
                 if net.designated_up_masked(s, mask).is_some() {
-                    fs.entry(LOGICAL_UP).or_default().insert(Expr::True);
+                    fs.entry(LOGICAL_UP).or_default().insert_shared(all.clone());
                 }
             }
         }
@@ -311,6 +351,13 @@ pub fn route_hierarchical_degraded(
             // multi-parent Fat Tree re-imports the subtree's own
             // subscriptions through the sibling aggregate; we compute
             // the partition directly to honour the minimality claim.)
+            // Each host filter is widened once, not once per switch.
+            let outside: Vec<Vec<Shared>> = match &approx {
+                Some(c) => {
+                    hosts.iter().map(|fs| fs.iter().map(|f| widen(c, f)).collect()).collect()
+                }
+                None => hosts,
+            };
             for (src, sw) in net.switches.iter().enumerate() {
                 if sw.up.is_empty() || net.designated_up_masked(src, mask).is_none() {
                     continue; // top layer, dead, or partitioned from above
@@ -321,10 +368,10 @@ pub fn route_hierarchical_degraded(
                 let below: HashSet<usize> =
                     net.designated_below_masked(src, mask).into_iter().collect();
                 let mut up = FilterSet::default();
-                for (h, host_subs) in subs.iter().enumerate() {
-                    if !below.contains(&h) && net.host_attached(h, mask) {
-                        for f in host_subs {
-                            up.insert(widen(f));
+                for (h, host_filters) in outside.iter().enumerate() {
+                    if !below.contains(&h) {
+                        for f in host_filters {
+                            up.insert_shared(f.clone());
                         }
                     }
                 }
@@ -358,7 +405,7 @@ mod tests {
             let r = route_hierarchical(&net, &subs, RoutingConfig::new(policy).with_alpha(10));
             let (s, p) = net.access[0];
             let set = &r.filters[s][&p];
-            assert_eq!(set.filters(), &[parse_expr("stock == GOOGL").unwrap()]);
+            assert!(set.filters().eq([&parse_expr("stock == GOOGL").unwrap()]));
         }
     }
 
@@ -371,7 +418,7 @@ mod tests {
             if sw.up.is_empty() {
                 assert!(!r.filters[s].contains_key(&LOGICAL_UP), "core has no up set");
             } else {
-                assert_eq!(r.filters[s][&LOGICAL_UP].filters(), &[Expr::True]);
+                assert!(r.filters[s][&LOGICAL_UP].filters().eq([&Expr::True]));
             }
         }
     }
@@ -383,7 +430,7 @@ mod tests {
         let subs = subs_for(&net, |h| if h == 15 { vec!["stock == GOOGL"] } else { vec![] });
         let r = route_hierarchical(&net, &subs, RoutingConfig::new(Policy::TrafficReduction));
         let up = &r.filters[0][&LOGICAL_UP];
-        assert_eq!(up.filters(), &[parse_expr("stock == GOOGL").unwrap()]);
+        assert!(up.filters().eq([&parse_expr("stock == GOOGL").unwrap()]));
         // ...and must NOT appear on ToR 0's up set if only host 0 (own
         // subtree) subscribes.
         let subs = subs_for(&net, |h| if h == 0 { vec!["stock == GOOGL"] } else { vec![] });
@@ -439,7 +486,10 @@ mod tests {
         assert_eq!(approx.filters[8][&0].len(), 1);
         // Access ports stay exact.
         let (s, p) = net.access[0];
-        assert_eq!(approx.filters[s][&p].filters()[0], parse_expr("price > 51").unwrap());
+        assert_eq!(
+            approx.filters[s][&p].filters().next(),
+            Some(&parse_expr("price > 51").unwrap())
+        );
     }
 
     #[test]

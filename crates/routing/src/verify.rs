@@ -55,8 +55,10 @@ pub fn check_policy(
             ports.push(LOGICAL_UP);
         }
         for port in ports {
-            let filters =
-                result.filters[sid].get(&port).map(|f| f.filters().to_vec()).unwrap_or_default();
+            let filters: Vec<Expr> = result.filters[sid]
+                .get(&port)
+                .map(|f| f.filters().cloned().collect())
+                .unwrap_or_default();
             // Reachability on the distribution tree: a down port serves
             // the hosts designated through it; the up port serves the
             // hosts outside the designated subtree.

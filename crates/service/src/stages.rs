@@ -123,10 +123,12 @@ pub struct RouteCompileService {
 /// number of single-filter edits separating them. Each accepted op
 /// moves the state by exactly one edit, so
 /// `ops - distance(prev, next)` is the number of ops that cancelled
-/// out inside the batch.
+/// out inside the batch. Hosts whose lists are equal are skipped
+/// without hashing: a batch touches a handful of hosts.
 fn churn_distance(prev: &[Vec<Expr>], next: &[Vec<Expr>]) -> usize {
     prev.iter()
         .zip(next)
+        .filter(|(a, b)| a != b)
         .map(|(a, b)| {
             let mut counts: HashMap<&Expr, i64> = HashMap::new();
             for f in a {
@@ -579,7 +581,9 @@ impl Service for DeployService {
                         let control_ns = match &e {
                             DeployError::Admission { report, .. }
                             | DeployError::Channel { report, .. } => report.total_control_ns(),
-                            DeployError::Compile(_) | DeployError::Crashed { .. } => 0,
+                            DeployError::HostCount { .. }
+                            | DeployError::Compile(_)
+                            | DeployError::Crashed { .. } => 0,
                         };
                         let done = self.clock.advance(control_ns);
                         error = Some(e);
@@ -663,5 +667,9 @@ mod tests {
         // ops happened.
         let c = vec![vec![f("price > 1"), f("price > 1")], vec![f("shares >= 5")]];
         assert_eq!(churn_distance(&a, &c), 0);
+
+        // A reordered list differs as a list but not as a multiset.
+        let d = vec![vec![f("price > 1")], vec![f("price < 50"), f("shares >= 5")]];
+        assert_eq!(churn_distance(&b, &d), 0);
     }
 }
