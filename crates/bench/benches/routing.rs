@@ -2,20 +2,22 @@
 //! network compilation on the paper's Fat Tree, for both policies and
 //! with/without α-discretisation, plus Algorithm 1 alone on the
 //! 72-switch churn testbed, where every aggregate's union is
-//! replicated to eight cores.
+//! replicated to eight cores, and the install of one churn op there.
 
 use camus_bench::experiments::fig14::recompile_time;
 use camus_core::compiler::Compiler;
+use camus_core::statics::compile_static;
 use camus_lang::ast::Expr;
+use camus_net::controller::Controller;
+use camus_net::PerfectChannel;
 use camus_routing::algorithm1::{route_hierarchical, Policy, RoutingConfig};
-use camus_routing::compile::compile_network;
-use camus_routing::topology::{paper_fat_tree, three_layer};
+use camus_routing::compile::{compile_network, DeltaCache};
+use camus_routing::topology::{paper_fat_tree, three_layer, FaultMask};
 use camus_workloads::siena::{SienaConfig, SienaGenerator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// `total` filters dealt round-robin over `hosts` hosts.
-fn subs(hosts: usize, total: usize) -> Vec<Vec<Expr>> {
-    let mut g = SienaGenerator::new(SienaConfig {
+fn generator() -> SienaGenerator {
+    SienaGenerator::new(SienaConfig {
         predicates_per_filter: 3,
         n_attributes: 3,
         string_fraction: 0.25,
@@ -23,7 +25,12 @@ fn subs(hosts: usize, total: usize) -> Vec<Vec<Expr>> {
         anchor_skew: 0.5,
         seed: 0xBE7C,
         ..Default::default()
-    });
+    })
+}
+
+/// `total` filters dealt round-robin over `hosts` hosts.
+fn subs(hosts: usize, total: usize) -> Vec<Vec<Expr>> {
+    let mut g = generator();
     let mut subs: Vec<Vec<Expr>> = vec![Vec::new(); hosts];
     for (i, f) in g.filters(total).into_iter().enumerate() {
         subs[i % hosts].push(f);
@@ -68,6 +75,42 @@ fn bench_routing_testbed(c: &mut Criterion) {
     g.finish();
 }
 
+/// `Controller::install` of a one-filter churn op on the testbed (1k
+/// subscriptions, MR): stage, admit and commit of the ten switches the
+/// op dirties, which share three distinct compiles. Iterations
+/// alternate between the op and its inverse, so the deployment returns
+/// to its start every second iteration; each iteration also clones the
+/// routing and compile it hands over, as `install` takes them by value.
+fn bench_install_testbed(c: &mut Criterion) {
+    let net = three_layer(8, 4, 4, 8, 4);
+    let ctrl = Controller::new(
+        compile_static(&generator().spec()).unwrap(),
+        RoutingConfig::new(Policy::MemoryReduction),
+    );
+    let before = subs(net.host_count(), 1_000);
+    let mut after = before.clone();
+    after[5].pop();
+    let mut dep = ctrl.deploy(net.clone(), &before).unwrap();
+    let mut cache = DeltaCache::new();
+    let healthy = FaultMask::default();
+    let op_routing = ctrl.plan_routing(&net, &after, &healthy);
+    let op = ctrl.compile_routing_delta(&op_routing, Some(&dep.compile), &mut cache).unwrap();
+    let undo_routing = ctrl.plan_routing(&net, &before, &healthy);
+    let undo = ctrl.compile_routing_delta(&undo_routing, Some(&op), &mut cache).unwrap();
+    let steps = [(op_routing, op), (undo_routing, undo)];
+
+    let mut g = c.benchmark_group("install_testbed");
+    let mut next = 0;
+    g.bench_function("mr_1000_one_filter", |b| {
+        b.iter(|| {
+            let (routing, compile) = steps[next].clone();
+            next = 1 - next;
+            ctrl.install(&mut dep, routing, compile, 0, &mut PerfectChannel).unwrap().reinstalled
+        })
+    });
+    g.finish();
+}
+
 fn bench_network_compile(c: &mut Criterion) {
     let net = paper_fat_tree();
     let mut g = c.benchmark_group("network_compile");
@@ -109,6 +152,6 @@ fn bench_end_to_end_recompile(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_routing, bench_routing_testbed, bench_network_compile, bench_end_to_end_recompile
+    targets = bench_routing, bench_routing_testbed, bench_install_testbed, bench_network_compile, bench_end_to_end_recompile
 }
 criterion_main!(benches);

@@ -27,6 +27,7 @@ use camus_lang::spec::Spec;
 use camus_lang::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Hardware-model parameters.
 #[derive(Debug, Clone)]
@@ -77,22 +78,53 @@ impl fmt::Display for InstallError {
 
 impl std::error::Error for InstallError {}
 
+/// What a program is lowered against: the spec its slot plan resolves
+/// fields in and the field widths its resource report counts. Switches
+/// built from equal specs have equal targets, so one switch's program
+/// can be staged on another as-is.
+#[derive(Debug, PartialEq, Eq)]
+struct LoweringTarget {
+    spec: Spec,
+    /// Field widths for resource accounting: dotted path plus bare name
+    /// (the compiler keys stages by the bare name when unambiguous).
+    widths: HashMap<String, u32>,
+}
+
+impl LoweringTarget {
+    fn new(spec: Spec) -> Self {
+        let mut widths = HashMap::new();
+        for (path, f) in spec.subscribable_fields() {
+            let bare = path.rsplit('.').next().unwrap_or(&path).to_string();
+            widths.insert(path, f.width_bits);
+            widths.insert(bare, f.width_bits);
+        }
+        LoweringTarget { spec, widths }
+    }
+}
+
 /// A complete forwarding program: the control-plane pipeline plus
-/// everything lowered from it at install time. Built shadow-side and
-/// swapped in atomically, so a failed build never disturbs forwarding.
-#[derive(Debug, Clone)]
-struct Program {
+/// everything lowered from it, and its resource report. Immutable once
+/// built and shared by `Arc`: a controller prepares one per distinct
+/// pipeline and stages it on every switch that runs that pipeline,
+/// each admitting the report against its own budget. Built
+/// shadow-side and swapped in atomically, so a failed build never
+/// disturbs forwarding.
+#[derive(Debug)]
+pub struct Program {
     pipeline: Pipeline,
     /// Fast-path lowering of `pipeline`.
     compiled: CompiledPipeline,
-    /// Slot resolution of `compiled` against the spec.
+    /// Slot resolution of `compiled` against the target's spec.
     plan: EvalPlan,
     /// Aggregate operands appearing in the pipeline, cached.
     aggregates: Vec<(String, AggFunc, String)>, // (key, func, field)
+    /// `pipeline` accounted against the target's widths.
+    report: ResourceReport,
+    target: Arc<LoweringTarget>,
 }
 
 impl Program {
-    fn build(spec: &Spec, pipeline: Pipeline) -> Program {
+    fn build(target: &Arc<LoweringTarget>, pipeline: Pipeline) -> Program {
         let aggregates = pipeline
             .stages
             .iter()
@@ -102,8 +134,18 @@ impl Program {
             })
             .collect();
         let compiled = CompiledPipeline::lower(&pipeline);
-        let plan = EvalPlan::build(spec, &compiled, &pipeline);
-        Program { pipeline, compiled, plan, aggregates }
+        let plan = EvalPlan::build(&target.spec, &compiled, &pipeline);
+        let report = resources::report(&pipeline, pipeline.multicast_group_count(), &target.widths);
+        Program { pipeline, compiled, plan, aggregates, report, target: Arc::clone(target) }
+    }
+
+    pub fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
+    }
+
+    /// The fast-path lowering of the pipeline.
+    pub fn compiled(&self) -> &CompiledPipeline {
+        &self.compiled
     }
 }
 
@@ -211,21 +253,21 @@ pub struct SwitchOutput {
 pub struct Switch {
     parser: DeepParser,
     /// The live forwarding program.
-    program: Program,
-    /// Shadow-side program staged by [`stage`](Self::stage), awaiting
-    /// commit, tagged with the install transaction's epoch so a
-    /// recovering controller can tell *which* transaction left it
+    program: Arc<Program>,
+    /// Shadow-side program staged by [`stage_prepared`](Self::stage_prepared),
+    /// awaiting commit, tagged with the install transaction's epoch so
+    /// a recovering controller can tell *which* transaction left it
     /// behind. Never touches the data path.
-    staged: Option<(u64, Program)>,
+    staged: Option<(u64, Arc<Program>)>,
     /// Epoch of the last commit that has not been finalised or
     /// reverted — the other half of the reconciliation handshake.
     committed_epoch: Option<u64>,
     /// The program displaced by the last commit, retained until
     /// [`finalize_install`](Self::finalize_install) so a network-wide
     /// transaction can still revert this switch.
-    retired: Option<Program>,
-    /// Field widths for resource accounting, derived from the spec.
-    widths: HashMap<String, u32>,
+    retired: Option<Arc<Program>>,
+    /// What this switch lowers programs against.
+    target: Arc<LoweringTarget>,
     /// Reusable per-packet scratch (slot values + keep lists).
     scratch: EvalScratch,
     state: StateStore,
@@ -261,23 +303,16 @@ impl Switch {
     }
 
     fn with_spec(spec: Spec, pipeline: Pipeline, state: StateStore, config: SwitchConfig) -> Self {
-        // Widths for resource accounting: dotted path plus bare name
-        // (the compiler keys stages by the bare name when unambiguous).
-        let mut widths = HashMap::new();
-        for (path, f) in spec.subscribable_fields() {
-            let bare = path.rsplit('.').next().unwrap_or(&path).to_string();
-            widths.insert(path, f.width_bits);
-            widths.insert(bare, f.width_bits);
-        }
+        let target = Arc::new(LoweringTarget::new(spec.clone()));
         let parser = DeepParser::new(spec, config.max_msgs_per_pass, config.recirc_ports);
-        let program = Program::build(parser.spec(), Pipeline::empty());
+        let program = Arc::new(Program::build(&target, Pipeline::empty()));
         let mut sw = Switch {
             parser,
             program,
             staged: None,
             committed_epoch: None,
             retired: None,
-            widths,
+            target,
             scratch: EvalScratch::default(),
             state,
             config,
@@ -293,9 +328,17 @@ impl Switch {
     /// Account `pipeline` against this switch's budget without
     /// touching any install state.
     pub fn admit(&self, pipeline: &Pipeline) -> Result<ResourceReport, InstallError> {
-        let report = resources::report(pipeline, pipeline.multicast_group_count(), &self.widths);
+        let report =
+            resources::report(pipeline, pipeline.multicast_group_count(), &self.target.widths);
         self.config.budget.admit(&report).map_err(InstallError::OverBudget)?;
         Ok(report)
+    }
+
+    /// Lower `pipeline` against this switch's spec into a program that
+    /// any switch with the same spec can stage without lowering it
+    /// again. Touches no install state and applies no budget.
+    pub fn prepare(&self, pipeline: Pipeline) -> Arc<Program> {
+        Arc::new(Program::build(&self.target, pipeline))
     }
 
     /// Phase one of an install: validate `pipeline` against the
@@ -315,8 +358,30 @@ impl Switch {
         pipeline: Pipeline,
         epoch: u64,
     ) -> Result<ResourceReport, InstallError> {
-        let report = self.admit(&pipeline)?;
-        self.staged = Some((epoch, Program::build(self.parser.spec(), pipeline)));
+        let program = self.prepare(pipeline);
+        self.stage_prepared(&program, epoch)
+    }
+
+    /// Phase one from a [`prepare`](Self::prepare)d program, possibly
+    /// shared with other switches. A program lowered for a different
+    /// spec is lowered again here; either way its report is admitted
+    /// against *this* switch's budget, so a shared program can be
+    /// admitted on one switch and rejected on another.
+    pub fn stage_prepared(
+        &mut self,
+        program: &Arc<Program>,
+        epoch: u64,
+    ) -> Result<ResourceReport, InstallError> {
+        // `Arc` equality checks identity before contents; comparing a
+        // spec and its widths is small next to lowering a pipeline.
+        let program = if program.target == self.target {
+            Arc::clone(program)
+        } else {
+            self.prepare(program.pipeline.clone())
+        };
+        self.config.budget.admit(&program.report).map_err(InstallError::OverBudget)?;
+        let report = program.report.clone();
+        self.staged = Some((epoch, program));
         Ok(report)
     }
 
@@ -1139,6 +1204,58 @@ mod tests {
         let spec = itch_spec();
         let googl = PacketBuilder::new(&spec).message(order("GOOGL", 1)).build();
         assert_eq!(sw.process(&googl, 0, 0).ports.len(), 1);
+    }
+
+    #[test]
+    fn prepared_program_is_shared_only_across_equal_specs() {
+        // Same messages as ITCH with `shares` and `price` swapped on the
+        // wire: a slot plan resolved against ITCH would read `shares`
+        // where this spec keeps `price`.
+        let swapped = Spec::parse(
+            r#"
+            header moldudp {
+                bit<64> session;
+                bit<64> seq;
+                bit<16> msg_count;
+            }
+            header itch_order {
+                bit<16>  length;
+                bit<8>   msg_type;
+                @field       bit<32> price;
+                @field       bit<32> shares;
+                @field_exact str<8>  stock;
+                @field       bit<8>  side;
+            }
+            sequence moldudp
+            messages itch_order
+            "#,
+        )
+        .unwrap();
+        let itch = itch_switch("stock == GOOGL: fwd(1)\n");
+        let program = itch.prepare(compile_itch("price > 50: fwd(2)\n"));
+
+        let mut twin = itch_switch("stock == GOOGL: fwd(1)\n");
+        twin.stage_prepared(&program, 3).unwrap();
+        twin.commit_staged();
+        assert!(std::ptr::eq(twin.compiled(), program.compiled()), "equal specs share");
+
+        let mut other = Switch::from_spec(swapped.clone(), Pipeline::empty(), Default::default());
+        other.stage_prepared(&program, 3).unwrap();
+        assert_eq!(other.staged_epoch(), Some(3));
+        other.commit_staged();
+        assert!(!std::ptr::eq(other.compiled(), program.compiled()), "re-lowered");
+        assert_eq!(other.pipeline(), program.pipeline());
+        let msg = |price: i64, shares: i64| {
+            PacketBuilder::new(&swapped)
+                .message(vec![
+                    ("stock", Value::from("MSFT")),
+                    ("price", Value::Int(price)),
+                    ("shares", Value::Int(shares)),
+                ])
+                .build()
+        };
+        assert_eq!(other.process(&msg(60, 10), 0, 0).ports.len(), 1);
+        assert!(other.process(&msg(10, 60), 0, 1).ports.is_empty());
     }
 
     #[test]

@@ -11,11 +11,11 @@
 use crate::channel::{timed_op, ControlChannel, ControlOp, PerfectChannel, RetryPolicy};
 use crate::clock::Clock;
 use crate::sim::Network;
-use camus_core::compiler::{CompileError, Compiler};
+use camus_core::compiler::{CompileError, Compiled, Compiler};
 use camus_core::pipeline::{LeafTable, Pipeline, STATE_INIT};
 use camus_core::resources::ResourceBudget;
 use camus_core::statics::StaticPipeline;
-use camus_dataplane::{InstallError, Switch, SwitchConfig};
+use camus_dataplane::{InstallError, Program, Switch, SwitchConfig};
 use camus_lang::ast::{Action, Expr, Port};
 use camus_routing::algorithm1::{route_hierarchical_degraded, RoutingConfig, RoutingResult};
 use camus_routing::compile::{
@@ -25,6 +25,7 @@ use camus_routing::topology::{FaultMask, HierNet};
 use camus_telemetry::{DeployTrace, SwitchSpan};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Controller configuration and handles.
@@ -61,7 +62,7 @@ pub struct Deployment {
     /// transaction (route/compile wall-clock, stage/commit modelled).
     pub trace: DeployTrace,
     /// Epoch the *next* install transaction will stage under. Epochs
-    /// tag shadow programs on switches (see [`Switch::stage_epoch`])
+    /// tag shadow programs on switches (see [`Switch::stage_prepared`])
     /// so a recovering controller can tell which transaction left
     /// staged state behind and look its commit decision up in the log.
     pub next_epoch: u64,
@@ -438,15 +439,15 @@ impl Controller {
     }
 
     /// The two-phase deployment transaction over `targets` (slot ids):
-    /// stage everything under `epoch` (admission happens at the
-    /// switch), announce the commit decision through
-    /// [`ControlChannel::commit_point`], then commit only if every
-    /// stage landed and was admitted; any failure rolls every touched
-    /// switch back so forwarding is byte-identical to before the call —
-    /// except a controller crash ([`TransactionError::Crashed`]), which
-    /// leaves the wreckage in place for recovery to reconcile. Returns
-    /// the ledger and the switches that fell back to the coarse
-    /// degraded pipeline.
+    /// stage everything under `epoch` (each distinct compile is lowered
+    /// once; admission happens at each switch), announce the commit
+    /// decision through [`ControlChannel::commit_point`], then commit
+    /// only if every stage landed and was admitted; any failure rolls
+    /// every touched switch back so forwarding is byte-identical to
+    /// before the call — except a controller crash
+    /// ([`TransactionError::Crashed`]), which leaves the wreckage in
+    /// place for recovery to reconcile. Returns the ledger and the
+    /// switches that fell back to the coarse degraded pipeline.
     fn apply_transaction(
         &self,
         network: &mut Network,
@@ -465,6 +466,7 @@ impl Controller {
         let mut report = DeployReport::default();
         let mut degraded = BTreeSet::new();
         let mut rejected: Vec<(usize, InstallError)> = Vec::new();
+        let mut prepared: HashMap<*const Compiled, Arc<Program>> = HashMap::new();
 
         // Phase one: stage every target shadow-side.
         for (ti, &s) in targets.iter().enumerate() {
@@ -497,8 +499,14 @@ impl Controller {
                 }
                 return Err(ChannelError { failed: vec![s], report }.into());
             }
-            let pipeline = compile.switches[s].compiled.pipeline.clone();
-            match network.switches[s].stage_epoch(pipeline, epoch) {
+            // Slots that share one compile share one program: it is
+            // lowered once, by the first slot that stages it, and every
+            // slot admits it against its own budget.
+            let compiled = &compile.switches[s].compiled;
+            let program = prepared
+                .entry(Arc::as_ptr(compiled))
+                .or_insert_with(|| network.switches[s].prepare(compiled.pipeline.clone()));
+            match network.switches[s].stage_prepared(program, epoch) {
                 Ok(_) => {
                     entry.verdict = AdmissionVerdict::Admitted;
                     entry.staged = true;

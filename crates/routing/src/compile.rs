@@ -30,7 +30,7 @@ use camus_core::compiler::{CompileError, CompileState, Compiled, Compiler};
 use camus_lang::ast::Rule;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 impl From<UnitPanic> for CompileError {
@@ -209,6 +209,15 @@ where
     crate::par::run_parallel(n, f)
 }
 
+/// Name a representative's panic by the switch it compiled, not by the
+/// dense representative index the pool numbered it with.
+fn at_switch(e: CompileError, s: usize) -> CompileError {
+    match e {
+        CompileError::Panicked { message, .. } => CompileError::Panicked { unit: s, message },
+        e => e,
+    }
+}
+
 /// Compile every switch of a hierarchical routing result in parallel —
 /// the exhaustive baseline: one compiler invocation per switch, no
 /// caching or sharing. This is what a controller without incremental
@@ -291,10 +300,12 @@ impl DeltaCache {
 ///   that compiled the slot's *previous* rule list is taken from the
 ///   cache (keyed by the slot's old fingerprint) and only the rule
 ///   delta is replayed on it ([`Compiler::compile_incremental`]); only
-///   misses with no previous state pay a cold build. These run
-///   sequentially — the delta path is maintenance-bound (`O(delta)`
-///   per switch), not build-bound — and stale fingerprints are pruned
-///   from the cache afterwards. Pin a variable order on `compiler`
+///   misses with no previous state pay a cold build. Representatives
+///   run on the work-stealing pool, each owning its base state; when
+///   two share a previous fingerprint the first in switch order claims
+///   the state. States return to the cache under their new
+///   fingerprints in switch order, and stale fingerprints are pruned
+///   afterwards. Pin a variable order on `compiler`
 ///   (e.g. via a static spec) for deterministic table sizes: with an
 ///   unpinned order a maintained diagram keeps the field order of its
 ///   construction history, so its pipelines — while always
@@ -344,28 +355,49 @@ pub fn compile_network_incremental(
                 Ok((Arc::new(compiled), t0.elapsed()))
             });
             for (outcome, &s) in outcomes.into_iter().zip(&representatives) {
-                // Surface panics under the switch id, not the dense rep index.
-                compiled.push(outcome.map_err(|e| match e {
-                    CompileError::Panicked { message, .. } => {
-                        CompileError::Panicked { unit: s, message }
-                    }
-                    e => e,
-                })?);
+                compiled.push(outcome.map_err(|e| at_switch(e, s))?);
             }
         }
         Some(cache) => {
-            for &s in &representatives {
+            // The state that compiled a slot's previous rule list is its
+            // best delta base. Bases are claimed in representative
+            // order; when two representatives share a previous
+            // fingerprint the first claims the state and the second
+            // seeds cold.
+            let bases: Vec<Mutex<Option<CompileState>>> = representatives
+                .iter()
+                .map(|&s| {
+                    let old_fp = previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
+                    Mutex::new(old_fp.and_then(|fp| cache.states.remove(&fp)))
+                })
+                .collect();
+            let outcomes = run_parallel(representatives.len(), |i| {
                 let t0 = Instant::now();
-                let rules = result.switch_rules(s);
-                // The state that compiled this slot's previous rule list
-                // is the best delta base; it moves to the new fingerprint.
-                let old_fp = previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
-                let (out, state) = match old_fp.and_then(|fp| cache.states.remove(&fp)) {
+                let rules = result.switch_rules(representatives[i]);
+                let base = bases[i].lock().expect("no unit panics holding its base").take();
+                let (out, state) = match base {
                     Some(mut state) => (compiler.compile_incremental(&mut state, &rules)?, state),
                     None => compiler.compile_incremental_seed(&rules)?,
                 };
-                cache.states.entry(fingerprints[s]).or_insert(state);
-                compiled.push((Arc::new(out), t0.elapsed()));
+                Ok((Arc::new(out), state, t0.elapsed()))
+            });
+            // States move to their new fingerprints in representative
+            // order, so the cache's content does not depend on which
+            // worker finished first.
+            let mut failed = None;
+            for (outcome, &s) in outcomes.into_iter().zip(&representatives) {
+                match outcome {
+                    Ok((out, state, took)) => {
+                        cache.states.entry(fingerprints[s]).or_insert(state);
+                        compiled.push((out, took));
+                    }
+                    Err(e) => {
+                        failed.get_or_insert(at_switch(e, s));
+                    }
+                }
+            }
+            if let Some(e) = failed {
+                return Err(e);
             }
             // Keep only states whose fingerprint is live in this epoch:
             // churn must not accumulate diagrams for rule lists no one
@@ -590,31 +622,74 @@ mod tests {
         // must agree exactly.
         let cfg = RoutingConfig::new(Policy::MemoryReduction);
         let compiler = Compiler::new().with_order(camus_core::VarOrder::from_keys(["id", "price"]));
-        let mut cache = DeltaCache::new();
-        let mut hosts = subs(net.host_count());
+        let n = net.host_count();
 
-        let r0 = route_hierarchical(&net, &hosts, cfg);
-        let mut prev = compile_network_incremental(&r0, &compiler, None, Some(&mut cache)).unwrap();
-        assert!(!cache.is_empty());
-
+        // History: four rounds of single-host churn; then every ToR
+        // carrying one rule list (each host's filter depends only on
+        // its port); then one host on each of two ToRs changing
+        // differently, so two representatives whose slots shared a
+        // previous fingerprint both claim one base state.
+        let mut history = vec![subs(n)];
         for round in 0..4 {
-            // Churn one host per round.
-            let h = (round * 5) % hosts.len();
-            hosts[h] = vec![parse_expr(&format!("price > {}", 1000 + round)).unwrap()];
-            let r = route_hierarchical(&net, &hosts, cfg);
-            let delta =
-                compile_network_incremental(&r, &compiler, Some(&prev), Some(&mut cache)).unwrap();
-            let scratch = compile_network(&r, &compiler).unwrap();
-            assert!(delta.reused > 0, "round {round}: unchanged switches must be reused");
-            for (a, b) in delta.switches.iter().zip(&scratch.switches) {
-                assert_eq!(a.fingerprint, b.fingerprint, "round {round} switch {}", a.switch);
-                assert_eq!(a.entries, b.entries, "round {round} switch {}", a.switch);
+            let mut next = history.last().unwrap().clone();
+            next[(round * 5) % n] = vec![parse_expr(&format!("price > {}", 1000 + round)).unwrap()];
+            history.push(next);
+        }
+        let by_port = |h: usize| vec![parse_expr(&format!("price > {}", net.access[h].1)).unwrap()];
+        let symmetric: Vec<Vec<Expr>> = (0..n).map(by_port).collect();
+        let (a, b) = (0, (1..n).find(|&h| net.access[h].1 == net.access[0].1).unwrap());
+        let (tor_a, tor_b) = (net.access[a].0, net.access[b].0);
+        assert_ne!(tor_a, tor_b);
+        let mut split = symmetric.clone();
+        split[a] = vec![parse_expr("price > 2000").unwrap()];
+        split[b] = vec![parse_expr("price > 3000").unwrap()];
+        history.push(symmetric);
+        history.push(split);
+        let last = history.len() - 1;
+
+        let replay = || {
+            let mut cache = DeltaCache::new();
+            let mut out: Vec<NetworkCompile> = Vec::new();
+            for (round, hosts) in history.iter().enumerate() {
+                let r = route_hierarchical(&net, hosts, cfg);
+                let delta =
+                    compile_network_incremental(&r, &compiler, out.last(), Some(&mut cache))
+                        .unwrap();
+                let scratch = compile_network(&r, &compiler).unwrap();
+                if round > 0 && round != last - 1 {
+                    assert!(delta.reused > 0, "round {round}: unchanged switches must be reused");
+                }
+                for (a, b) in delta.switches.iter().zip(&scratch.switches) {
+                    assert_eq!(a.fingerprint, b.fingerprint, "round {round} switch {}", a.switch);
+                    assert_eq!(a.entries, b.entries, "round {round} switch {}", a.switch);
+                }
+                // The cache tracks live rule lists only.
+                let distinct: HashSet<u64> =
+                    delta.switches.iter().map(|sc| sc.fingerprint).collect();
+                assert!(cache.len() <= distinct.len(), "round {round}: cache leaks stale states");
+                out.push(delta);
             }
-            // The cache tracks live rule lists only.
-            let distinct: std::collections::HashSet<u64> =
-                delta.switches.iter().map(|sc| sc.fingerprint).collect();
-            assert!(cache.len() <= distinct.len(), "cache leaks stale states");
-            prev = delta;
+            assert!(!cache.is_empty(), "live fingerprints stay cached");
+            out
+        };
+        let first = replay();
+
+        // The last round really is the shared-base case.
+        let (before, after) = (&first[last - 1].switches, &first[last].switches);
+        assert_eq!(before[tor_a].fingerprint, before[tor_b].fingerprint);
+        assert_ne!(after[tor_a].fingerprint, after[tor_b].fingerprint);
+        assert!(!after[tor_a].reused && !after[tor_b].reused);
+
+        // Parallel representatives leave no trace of thread timing.
+        let second = replay();
+        for (round, (x, y)) in first.iter().zip(&second).enumerate() {
+            for (a, b) in x.switches.iter().zip(&y.switches) {
+                assert_eq!(
+                    a.compiled.pipeline, b.compiled.pipeline,
+                    "round {round} switch {}",
+                    a.switch
+                );
+            }
         }
     }
 

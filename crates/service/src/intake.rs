@@ -33,6 +33,12 @@ use std::sync::Arc;
 /// Service-assigned request identifier.
 pub type RequestId = u64;
 
+/// An immutable snapshot of the per-host subscription state. Intake
+/// hands the same snapshot to the batch, the compile stage's baseline
+/// and the installed transaction; it copies the state only when it
+/// next mutates a snapshot someone still holds.
+pub type Subscriptions = Arc<[Vec<Expr>]>;
+
 /// What a request asks for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestOp {
@@ -97,7 +103,7 @@ pub struct ChurnBatch {
     /// Transaction id (intake-assigned, monotonic).
     pub txn: u64,
     /// Target per-host subscriptions after this batch's ops.
-    pub subs: Vec<Vec<Expr>>,
+    pub subs: Subscriptions,
     /// The accepted requests folded in, arrival order.
     pub requests: Vec<SubRequest>,
     /// First arrival in the window.
@@ -123,7 +129,7 @@ struct OpenWindow {
 pub struct IntakeService {
     policy: BatchPolicy,
     /// Authoritative target state (what the network *should* run).
-    subs: Vec<Vec<Expr>>,
+    subs: Subscriptions,
     open: Option<OpenWindow>,
     next_txn: u64,
     /// Monotonic arrival clamp: arrivals never run backwards.
@@ -143,7 +149,7 @@ pub struct IntakeService {
 }
 
 impl IntakeService {
-    pub fn new(policy: BatchPolicy, subs: Vec<Vec<Expr>>, inflight: Arc<Gauge>) -> Self {
+    pub fn new(policy: BatchPolicy, subs: Subscriptions, inflight: Arc<Gauge>) -> Self {
         IntakeService {
             policy,
             subs,
@@ -172,7 +178,7 @@ impl IntakeService {
 
     /// Take the target state home (shutdown path).
     pub fn into_subs(self) -> Vec<Vec<Expr>> {
-        self.subs
+        self.subs.to_vec()
     }
 
     fn emit(&mut self, closed_ns: u64, out: &Pipe<ChurnBatch>) -> Result<(), IntakeError> {
@@ -181,7 +187,7 @@ impl IntakeService {
             self.inflight.add(1);
             out.send(ChurnBatch {
                 txn: w.txn,
-                subs: self.subs.clone(),
+                subs: Arc::clone(&self.subs),
                 requests: w.requests,
                 opened_ns: w.opened_ns,
                 closed_ns,
@@ -197,11 +203,13 @@ impl IntakeService {
         if req.host >= hosts {
             return Err(IntakeError::UnknownHost { request: req.id, host: req.host, hosts });
         }
+        // Copy-on-write: the last emitted snapshot may still be in
+        // flight downstream, so mutate only after validating.
         match &req.op {
-            RequestOp::Subscribe(f) => self.subs[req.host].push(f.clone()),
+            RequestOp::Subscribe(f) => Arc::make_mut(&mut self.subs)[req.host].push(f.clone()),
             RequestOp::Unsubscribe(f) => match self.subs[req.host].iter().rposition(|x| x == f) {
                 Some(i) => {
-                    self.subs[req.host].remove(i);
+                    Arc::make_mut(&mut self.subs)[req.host].remove(i);
                 }
                 None => {
                     return Err(IntakeError::NoSuchSubscription { request: req.id, host: req.host })
@@ -299,7 +307,7 @@ mod tests {
 
     fn svc(policy: BatchPolicy, hosts: usize) -> (IntakeService, Arc<Gauge>) {
         let g = Arc::new(Gauge::new());
-        (IntakeService::new(policy, vec![Vec::new(); hosts], g.clone()), g)
+        (IntakeService::new(policy, vec![Vec::new(); hosts].into(), g.clone()), g)
     }
 
     fn req(id: u64, host: usize, op: RequestOp, at: u64) -> SubRequest {

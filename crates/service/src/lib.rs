@@ -45,7 +45,9 @@ pub use crate::durability::{FileWal, MemoryWal, Wal, WalBackend, WalChannel, Wal
 pub use crate::error::{
     CompileStageError, DeployStageError, IntakeError, RouteError, ServiceError,
 };
-pub use crate::intake::{BatchPolicy, ChurnBatch, IntakeService, RequestId, RequestOp, SubRequest};
+pub use crate::intake::{
+    BatchPolicy, ChurnBatch, IntakeService, RequestId, RequestOp, SubRequest, Subscriptions,
+};
 pub use crate::service::{CamusService, ServiceConfig, ServiceOutcome, ServiceStats};
 pub use crate::stages::{
     AuditProbe, AuditReport, DeployService, RouteCompileService, Txn, TxnPayload, TxnReport,

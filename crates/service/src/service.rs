@@ -33,7 +33,7 @@
 use crate::core::{pipe, spawn, Ctl, Pipe, StageFailure, StageRx, Supervision};
 use crate::durability::{Wal, WalChannel};
 use crate::error::ServiceError;
-use crate::intake::{BatchPolicy, IntakeService, RequestId, RequestOp, SubRequest};
+use crate::intake::{BatchPolicy, IntakeService, RequestId, RequestOp, SubRequest, Subscriptions};
 use crate::stages::{AuditProbe, AuditReport, DeployService, RouteCompileService, TxnReport};
 use camus_lang::ast::Expr;
 use camus_net::controller::{Controller, Deployment};
@@ -255,7 +255,8 @@ impl CamusService {
             None => channel,
         };
 
-        let mut intake_svc = IntakeService::new(cfg.batch, subs.clone(), inflight.clone());
+        let subs: Subscriptions = subs.into();
+        let mut intake_svc = IntakeService::new(cfg.batch, Arc::clone(&subs), inflight.clone());
         if let Some(w) = &cfg.wal {
             intake_svc = intake_svc.with_wal(w.clone());
         }

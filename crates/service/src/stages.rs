@@ -37,7 +37,7 @@
 use crate::core::{Pipe, Service};
 use crate::durability::Wal;
 use crate::error::{CompileStageError, DeployStageError, RouteError, ServiceError};
-use crate::intake::{ChurnBatch, RequestId, SubRequest};
+use crate::intake::{ChurnBatch, RequestId, SubRequest, Subscriptions};
 use camus_dataplane::Packet;
 use camus_lang::ast::Expr;
 use camus_lang::value::Value;
@@ -73,7 +73,7 @@ pub struct Txn {
 #[derive(Debug)]
 pub struct TxnPayload {
     /// Target state (the audit's ground truth).
-    pub subs: Vec<Vec<Expr>>,
+    pub subs: Subscriptions,
     pub routing: RoutingResult,
     pub compile: NetworkCompile,
     /// Measured routing wall time (for the deploy trace).
@@ -90,7 +90,7 @@ pub struct RouteCompileService {
     prev_compile: NetworkCompile,
     /// The subscription state behind `prev_compile`; churn distance
     /// against it detects net-zero batches.
-    prev_subs: Vec<Vec<Expr>>,
+    prev_subs: Subscriptions,
     /// Live per-switch BDD states keyed by rule-list fingerprint:
     /// switches that miss the fingerprint cache are delta-maintained
     /// from their previous diagram instead of recompiled from scratch.
@@ -149,7 +149,7 @@ impl RouteCompileService {
         topology: HierNet,
         mask: FaultMask,
         deployed_compile: NetworkCompile,
-        deployed_subs: Vec<Vec<Expr>>,
+        deployed_subs: Subscriptions,
         serialize: Option<Receiver<u64>>,
         merge_backlog: bool,
         inflight: Arc<Gauge>,
@@ -269,7 +269,7 @@ impl Service for RouteCompileService {
             // Fold the measured wall time into the modelled timeline.
             let compiled_ns = self.clock.advance(wall.elapsed().as_nanos() as u64);
             self.prev_compile = compile.clone();
-            self.prev_subs = batch.subs.clone();
+            self.prev_subs = Arc::clone(&batch.subs);
             self.compiles += 1;
             Txn {
                 txn: batch.txn,
